@@ -995,19 +995,10 @@ bool options_from_config(const json::Value& c, Options& opt,
 int run_replay(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string path = argv[2];
-  std::string error;
-  auto rec = net::Recording::load(path, &error);
-  if (!rec) {
-    std::fprintf(stderr, "cannot load recording '%s': %s\n", path.c_str(),
-                 error.c_str());
-    return 1;
-  }
+  // Replay flags are validated before the recording is read (a bad flag
+  // exits 2 whatever the file); the recorded config then fills in the
+  // protocol options, which these flags never touch.
   Options opt;
-  if (!options_from_config(rec->config, opt, &error)) {
-    std::fprintf(stderr, "recording '%s' has no replayable %s\n",
-                 path.c_str(), error.c_str());
-    return 1;
-  }
   for (int i = 3; i < argc; ++i) {
     const std::string key = argv[i];
     if (key == "--top") {
@@ -1017,8 +1008,14 @@ int run_replay(int argc, char** argv) {
     if (i + 1 >= argc) return usage();
     const std::string value = argv[++i];
     if (key == "--threads") {
-      opt.threads =
-          value == "hw" ? hardware_threads() : std::stoul(value);
+      if (value == "hw") {
+        opt.threads = hardware_threads();
+      } else if (!parse_size_strict(value, opt.threads)) {
+        complain("invalid value '%s' for --threads (expected an unsigned "
+                 "integer or 'hw')",
+                 value.c_str());
+        return usage();
+      }
       if (opt.threads == 0) return usage();
       set_default_threads(opt.threads);
     } else if (key == "--telemetry") {
@@ -1026,11 +1023,26 @@ int run_replay(int argc, char** argv) {
     } else if (key == "--prom") {
       opt.prom_path = value;
     } else if (key == "--sample-every") {
-      opt.sample_every = std::stoul(value);
+      if (!parse_size_strict(value, opt.sample_every)) {
+        complain_number(key, value);
+        return usage();
+      }
       if (opt.sample_every == 0) return usage();
     } else {
       return usage();
     }
+  }
+  std::string error;
+  auto rec = net::Recording::load(path, &error);
+  if (!rec) {
+    std::fprintf(stderr, "cannot load recording '%s': %s\n", path.c_str(),
+                 error.c_str());
+    return 1;
+  }
+  if (!options_from_config(rec->config, opt, &error)) {
+    std::fprintf(stderr, "recording '%s' has no replayable %s\n",
+                 path.c_str(), error.c_str());
+    return 1;
   }
   std::printf("replaying %s: command '%s', n=%zu, seed %s, %zu rounds\n",
               path.c_str(), opt.command.c_str(), opt.n,

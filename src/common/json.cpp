@@ -189,35 +189,15 @@ class Parser {
       if (!s) return std::nullopt;
       return Value(std::move(*s));
     }
-    if (c == '[') {
+    if (c == '[' || c == '{') {
+      // Containers recurse; past the nesting cap the document is rejected
+      // instead of exhausting the stack.
+      if (depth_ == Value::kMaxDepth) return std::nullopt;
       ++pos_;
-      Value arr = Value::array();
-      skip_ws();
-      if (eat(']')) return arr;
-      for (;;) {
-        auto v = parse_value();
-        if (!v) return std::nullopt;
-        arr.push_back(std::move(*v));
-        if (eat(']')) return arr;
-        if (!eat(',')) return std::nullopt;
-      }
-    }
-    if (c == '{') {
-      ++pos_;
-      Value obj = Value::object();
-      skip_ws();
-      if (eat('}')) return obj;
-      for (;;) {
-        if (!eat('"')) return std::nullopt;
-        auto key = parse_string_body();
-        if (!key) return std::nullopt;
-        if (!eat(':')) return std::nullopt;
-        auto v = parse_value();
-        if (!v) return std::nullopt;
-        obj.set(std::move(*key), std::move(*v));
-        if (eat('}')) return obj;
-        if (!eat(',')) return std::nullopt;
-      }
+      ++depth_;
+      auto v = c == '[' ? parse_array_body() : parse_object_body();
+      --depth_;
+      return v;
     }
     // number
     const std::size_t start = pos_;
@@ -235,8 +215,41 @@ class Parser {
     return Value(d);
   }
 
+  // Called with pos_ just past the opening bracket.
+  std::optional<Value> parse_array_body() {
+    Value arr = Value::array();
+    skip_ws();
+    if (eat(']')) return arr;
+    for (;;) {
+      auto v = parse_value();
+      if (!v) return std::nullopt;
+      arr.push_back(std::move(*v));
+      if (eat(']')) return arr;
+      if (!eat(',')) return std::nullopt;
+    }
+  }
+
+  // Called with pos_ just past the opening brace.
+  std::optional<Value> parse_object_body() {
+    Value obj = Value::object();
+    skip_ws();
+    if (eat('}')) return obj;
+    for (;;) {
+      if (!eat('"')) return std::nullopt;
+      auto key = parse_string_body();
+      if (!key) return std::nullopt;
+      if (!eat(':')) return std::nullopt;
+      auto v = parse_value();
+      if (!v) return std::nullopt;
+      obj.set(std::move(*key), std::move(*v));
+      if (eat('}')) return obj;
+      if (!eat(',')) return std::nullopt;
+    }
+  }
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open containers around the current value
 };
 
 }  // namespace

@@ -79,8 +79,12 @@ class Value {
   /// Serializes; indent < 0 means compact single-line output.
   std::string dump(int indent = -1) const;
 
-  /// Strict parse of a complete document; nullopt on any syntax error or
-  /// trailing garbage.
+  /// Containers nested deeper than this make parse() fail: the parser
+  /// recurses per level, so the cap bounds its stack use on hostile input.
+  static constexpr std::size_t kMaxDepth = 256;
+
+  /// Strict parse of a complete document; nullopt on any syntax error,
+  /// trailing garbage, or nesting deeper than kMaxDepth.
   static std::optional<Value> parse(std::string_view text);
 
   bool operator==(const Value& o) const;

@@ -1,6 +1,7 @@
 #include "vss/bivariate_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 
@@ -16,6 +17,15 @@ namespace gfor14::vss {
 namespace {
 
 Fld enc(std::size_t v) { return Fld::from_u64(static_cast<std::uint64_t>(v)); }
+
+/// Slice indices per cache block of the R2 cross-evaluation sweep: t + 1
+/// planes of this many elements fit L1 while all n - 1 peer points are
+/// evaluated over them.
+constexpr std::size_t kEvalBlock = 512;
+
+/// Values per lane task in the reconstruction decode (both the IC
+/// accept-set walk and the Berlekamp-Welch span decode).
+constexpr std::size_t kDecodeChunk = 2048;
 
 /// Decodes a size_t that was encoded with enc(); nullopt when out of range.
 std::optional<std::size_t> dec(Fld f, std::size_t bound) {
@@ -173,53 +183,65 @@ void BivariateEngine::round_distribute_slices(ShareCtx& ctx) {
 
 void BivariateEngine::round_cross_evaluations(ShareCtx& ctx) {
   const std::size_t n = net_.n();
+  // Walks party i's slice blocks in cache blocks of kEvalBlock indices,
+  // dealer by dealer: fn(d, block, lo, len, pos) covers indices
+  // [lo, lo + len) of dealer d's block, which sit at [pos, pos + len) of
+  // the concatenated cross-evaluation payload. The caller evaluates each
+  // block at every peer point while its t + 1 planes stay in L1.
+  const auto for_each_block = [&](net::PartyId i, const auto& fn) {
+    std::size_t pos = 0;
+    for (net::PartyId d : ctx.dealers) {
+      const SliceBlock& block = ctx.recv[i][d];
+      for (std::size_t lo = 0; lo < block.size(); lo += kEvalBlock)
+        fn(d, block, lo, std::min(kEvalBlock, block.size() - lo), pos + lo);
+      pos += block.size();
+    }
+  };
   net_.run_round([&](net::PartyId i, net::RoundLane& lane) {
+    std::vector<net::Payload> out(n);
     for (net::PartyId j = 0; j < n; ++j) {
       if (i == j) continue;
-      net::Payload payload(ctx.total_m);
+      out[j].resize(ctx.total_m);
       charge_share_buffer(ctx.total_m);
-      // The receiver's evaluation point is hoisted per j (ctx.alpha) and
-      // each dealer's block evaluates in one batched Horner sweep.
-      std::size_t pos = 0;
-      for (net::PartyId d : ctx.dealers) {
-        const std::size_t m = (*ctx.batches)[d].size();
-        ctx.recv[i][d].eval_all(ctx.alpha[j],
-                                std::span<Fld>(payload.data() + pos, m));
-        pos += m;
-      }
-      lane.send(j, std::move(payload));
     }
+    for_each_block(i, [&](net::PartyId, const SliceBlock& block,
+                          std::size_t lo, std::size_t len, std::size_t pos) {
+      for (net::PartyId j = 0; j < n; ++j)
+        if (i != j)
+          block.eval_range(ctx.alpha[j], lo,
+                           std::span<Fld>(out[j].data() + pos, len));
+    });
+    for (net::PartyId j = 0; j < n; ++j)
+      if (i != j) lane.send(j, std::move(out[j]));
   });
-  // Compare: j's claimed f_j(alpha_i) against my f_i(alpha_j). Each party
-  // buffers its own complaints; the merge into the (deduplicating, ordered)
-  // set is order-insensitive, so the parallel schedule cannot show through.
+  // Compare: j's claimed f_j(alpha_i) against my f_i(alpha_j), recomputed
+  // block by block into a stack buffer and checked right away (a missing
+  // or malformed claim reads as zeros). Each party buffers its own
+  // complaints; the merge into the (deduplicating, ordered) set is
+  // order-insensitive, so neither the block order nor the parallel
+  // schedule can show through.
   std::vector<std::vector<ShareCtx::Complaint>> found(n);
   net_.for_each_party([&](net::PartyId i) {
-    std::vector<Fld> mine(ctx.total_m);
+    std::vector<const Fld*> claims(n, nullptr);
     for (net::PartyId j = 0; j < n; ++j) {
-      if (i == j) continue;
       const auto& msgs = net_.delivered().p2p[i][j];
-      const net::Payload* payload =
-          (!msgs.empty() && msgs.front().size() == ctx.total_m) ? &msgs.front()
-                                                                : nullptr;
-      std::size_t pos = 0;
-      for (net::PartyId d : ctx.dealers) {
-        const std::size_t m = (*ctx.batches)[d].size();
-        ctx.recv[i][d].eval_all(ctx.alpha[j],
-                                std::span<Fld>(mine.data() + pos, m));
-        pos += m;
-      }
-      pos = 0;
-      for (net::PartyId d : ctx.dealers) {
-        for (std::size_t k = 0; k < (*ctx.batches)[d].size(); ++k, ++pos) {
-          const Fld claimed = payload ? (*payload)[pos] : Fld::zero();
-          if (claimed != mine[pos]) {
-            found[i].push_back(
-                {d, k, std::min<std::size_t>(i, j), std::max<std::size_t>(i, j)});
-          }
+      if (i != j && !msgs.empty() && msgs.front().size() == ctx.total_m)
+        claims[j] = msgs.front().data();
+    }
+    std::array<Fld, kEvalBlock> mine;
+    for_each_block(i, [&](net::PartyId d, const SliceBlock& block,
+                          std::size_t lo, std::size_t len, std::size_t pos) {
+      for (net::PartyId j = 0; j < n; ++j) {
+        if (i == j) continue;
+        block.eval_range(ctx.alpha[j], lo, std::span<Fld>(mine.data(), len));
+        for (std::size_t k = 0; k < len; ++k) {
+          const Fld claimed = claims[j] ? claims[j][pos + k] : Fld::zero();
+          if (claimed != mine[k])
+            found[i].push_back({d, lo + k, std::min<std::size_t>(i, j),
+                                std::max<std::size_t>(i, j)});
         }
       }
-    }
+    });
   });
   for (const auto& per_party : found)
     ctx.complaints.insert(per_party.begin(), per_party.end());
@@ -710,8 +732,7 @@ Fld BivariateEngine::committed_value(const LinComb& v) const {
 }
 
 std::vector<Fld> BivariateEngine::decode_received(
-    const std::vector<LinComb>& values,
-    const std::vector<std::optional<std::vector<Fld>>>& per_sender) {
+    const std::vector<LinComb>& values, std::span<const Reveal> per_sender) {
   const std::size_t n = net_.n();
   const std::size_t t = profile_.t;
   std::vector<Fld> out(values.size(), Fld::zero());
@@ -757,48 +778,65 @@ std::vector<Fld> BivariateEngine::decode_received(
       return out;
     }
     // Idealized IC (the default): acceptance is the pure predicate
-    // revealed == committed share, so the sender walk batches — one
-    // committed_shares_into per sender covers every value at once, and each
-    // value keeps exactly the accept set the per-value walk would build
-    // (senders visited in index order, capped at t + 1 accepts).
-    std::vector<std::vector<net::PartyId>> acc_who(values.size());
-    std::vector<std::vector<Fld>> acc_vals(values.size());
-    std::size_t unfinished = values.size();
-    std::vector<Fld> expected(values.size());
-    for (net::PartyId i = 0; i < n && unfinished > 0; ++i) {
-      if (!per_sender[i]) continue;
-      committed_shares_into(std::span<const LinComb>(values.data(),
-                                                     values.size()),
-                            i, std::span<Fld>(expected));
-      for (std::size_t vi = 0; vi < values.size(); ++vi) {
-        if (acc_who[vi].size() >= t + 1) continue;
-        if ((*per_sender[i])[vi] != expected[vi]) continue;
-        acc_who[vi].push_back(i);
-        acc_vals[vi].push_back(expected[vi]);
-        if (acc_who[vi].size() == t + 1) --unfinished;
-      }
-    }
+    // revealed == committed share, so the values split into chunks that run
+    // on the lanes. Each chunk walks the senders in index order, stops once
+    // all its values hold t + 1 accepts, and evaluates committed shares for
+    // its own value sub-span only: every value keeps exactly the accept set
+    // the per-value walk would build. Accept sets land in flat
+    // value x (t + 1) arrays.
+    const std::size_t w = t + 1;
+    const std::size_t nchunks =
+        (values.size() + kDecodeChunk - 1) / kDecodeChunk;
+    std::vector<net::PartyId> acc_who(values.size() * w);
+    std::vector<Fld> acc_vals(values.size() * w);
+    std::vector<std::size_t> acc_n(values.size(), 0);
+    ThreadPool::instance().parallel_for(
+        0, nchunks, net_.threads(), [&](std::size_t ci) {
+          const std::size_t lo = ci * kDecodeChunk;
+          const std::size_t len = std::min(kDecodeChunk, values.size() - lo);
+          std::vector<Fld> expected(len);
+          std::size_t unfinished = len;
+          for (net::PartyId i = 0; i < n && unfinished > 0; ++i) {
+            if (!per_sender[i]) continue;
+            committed_shares_into(
+                std::span<const LinComb>(values.data() + lo, len), i,
+                std::span<Fld>(expected));
+            const std::span<const Fld> revealed = per_sender[i]->subspan(lo);
+            for (std::size_t k = 0; k < len; ++k) {
+              std::size_t& cnt = acc_n[lo + k];
+              if (cnt == w || revealed[k] != expected[k]) continue;
+              acc_who[(lo + k) * w + cnt] = i;
+              acc_vals[(lo + k) * w + cnt] = expected[k];
+              if (++cnt == w) --unfinished;
+            }
+          }
+        });
     // Accept sets repeat massively across values (usually one distinct set
-    // per call), so resolve each distinct set's Lagrange row once — the
-    // per-value work then collapses to a t+1-wide dot with no cache-key
-    // allocation or lock traffic inside the parallel section.
+    // per call), so resolve each distinct set's Lagrange row once, serially
+    // and in first-occurrence order — the per-value work then collapses to
+    // a t+1-wide dot with no cache-key allocation or lock traffic inside
+    // the parallel section.
+    constexpr std::size_t kNoSet = ~std::size_t{0};
     auto& lcache = LagrangeCache::instance();
     const bool use_lut = ff::span_prefers_lut();
-    std::vector<std::vector<net::PartyId>> distinct_sets;
-    std::vector<std::size_t> set_of(values.size(), ~std::size_t{0});
+    std::vector<std::span<const net::PartyId>> distinct_sets;
+    std::vector<std::size_t> set_of(values.size(), kNoSet);
     for (std::size_t vi = 0; vi < values.size(); ++vi) {
-      if (acc_who[vi].size() < t + 1) continue;  // default 0
+      if (acc_n[vi] < w) continue;  // default 0
+      const std::span<const net::PartyId> who(acc_who.data() + vi * w, w);
       std::size_t s = 0;
-      while (s < distinct_sets.size() && distinct_sets[s] != acc_who[vi]) ++s;
-      if (s == distinct_sets.size()) distinct_sets.push_back(acc_who[vi]);
+      while (s < distinct_sets.size() &&
+             !std::ranges::equal(distinct_sets[s], who))
+        ++s;
+      if (s == distinct_sets.size()) distinct_sets.push_back(who);
       set_of[vi] = s;
     }
     std::vector<const std::vector<Fld>*> set_lambda(distinct_sets.size());
     std::vector<const ff::batch::EncodePlan64*> set_plan(
         distinct_sets.size(), nullptr);
     for (std::size_t s = 0; s < distinct_sets.size(); ++s) {
-      std::vector<Fld> xs(distinct_sets[s].size());
-      for (std::size_t i = 0; i < xs.size(); ++i)
+      std::vector<Fld> xs(w);
+      for (std::size_t i = 0; i < w; ++i)
         xs[i] = eval_point<64>(distinct_sets[s][i]);
       set_lambda[s] =
           &lcache.coefficients(std::span<const Fld>(xs), Fld::zero());
@@ -807,14 +845,16 @@ std::vector<Fld> BivariateEngine::decode_received(
             &lcache.encode_plan(std::span<const Fld>(xs), Fld::zero());
     }
     ThreadPool::instance().parallel_for(
-        0, values.size(), net_.threads(), [&](std::size_t vi) {
-          const std::size_t s = set_of[vi];
-          if (s == ~std::size_t{0}) return;
-          if (use_lut) {
-            out[vi] = set_plan[s]->dot(std::span<const Fld>(acc_vals[vi]));
-          } else {
-            out[vi] = ff::dot(std::span<const Fld>(*set_lambda[s]),
-                              std::span<const Fld>(acc_vals[vi]));
+        0, nchunks, net_.threads(), [&](std::size_t ci) {
+          const std::size_t lo = ci * kDecodeChunk;
+          const std::size_t hi = std::min(lo + kDecodeChunk, values.size());
+          for (std::size_t vi = lo; vi < hi; ++vi) {
+            const std::size_t s = set_of[vi];
+            if (s == kNoSet) continue;
+            const std::span<const Fld> ys(acc_vals.data() + vi * w, w);
+            out[vi] = use_lut ? set_plan[s]->dot(ys)
+                              : ff::dot(std::span<const Fld>(*set_lambda[s]),
+                                        ys);
           }
         });
     return out;
@@ -869,12 +909,12 @@ std::vector<Fld> BivariateEngine::decode_received(
   // column-wise (exact arithmetic: bit-identical results, see
   // tests/ff_batch_test.cpp). Chunks split across lanes; without that the
   // serial decode would Amdahl-cap reconstruction speedups.
-  constexpr std::size_t kChunk = 2048;
-  const std::size_t nchunks = (values.size() + kChunk - 1) / kChunk;
+  const std::size_t nchunks =
+      (values.size() + kDecodeChunk - 1) / kDecodeChunk;
   ThreadPool::instance().parallel_for(
       0, nchunks, net_.threads(), [&](std::size_t ci) {
-        const std::size_t lo = ci * kChunk;
-        const std::size_t hi = std::min(lo + kChunk, values.size());
+        const std::size_t lo = ci * kDecodeChunk;
+        const std::size_t hi = std::min(lo + kDecodeChunk, values.size());
         const std::size_t len = hi - lo;
         const std::span<Fld> dst(out.data() + lo, len);
         const auto row = [&](std::size_t i) {
@@ -924,8 +964,16 @@ std::vector<Fld> BivariateEngine::reconstruct_public(
   const std::size_t n = net_.n();
   trace::Span span("vss.reconstruct_public", net_);
   span.metric("values", static_cast<double>(values.size()));
+  // Decode from the viewpoint of the lowest-indexed honest party (all honest
+  // parties derive the same values — equivocated or corrupted shares are
+  // rejected receiver-side).
+  net::PartyId viewer = 0;
+  while (viewer < n && net_.is_corrupt(viewer)) ++viewer;
+  GFOR14_EXPECTS(viewer < n);
   // The n× committed_share_of evaluations per sender are the hot path of
-  // reconstruction; each sender computes and queues independently.
+  // reconstruction; each sender computes and queues independently. The
+  // viewer keeps its own payload as its local share vector.
+  std::vector<Fld> own;
   net_.run_round([&](net::PartyId i, net::RoundLane& lane) {
     net::Payload payload(values.size());
     charge_share_buffer(values.size());
@@ -934,26 +982,18 @@ std::vector<Fld> BivariateEngine::reconstruct_public(
                           i, std::span<Fld>(payload.data(), payload.size()));
     for (net::PartyId j = 0; j < n; ++j)
       if (i != j) lane.send(j, payload);
+    if (i == viewer) own = std::move(payload);
   });
-  // Decode from the viewpoint of the lowest-indexed honest party (all honest
-  // parties derive the same values — equivocated or corrupted shares are
-  // rejected receiver-side).
-  net::PartyId viewer = 0;
-  while (viewer < n && net_.is_corrupt(viewer)) ++viewer;
-  GFOR14_EXPECTS(viewer < n);
-  std::vector<std::optional<std::vector<Fld>>> per_sender(n);
+  // Views into the viewer's inbox: nothing delivered is copied.
+  std::vector<Reveal> per_sender(n);
   for (net::PartyId i = 0; i < n; ++i) {
     if (i == viewer) {
-      std::vector<Fld> own(values.size());
-      committed_shares_into(std::span<const LinComb>(values.data(),
-                                                     values.size()),
-                            viewer, std::span<Fld>(own));
-      per_sender[i] = std::move(own);
+      per_sender[i] = std::span<const Fld>(own);
       continue;
     }
     const auto& msgs = net_.delivered().p2p[viewer][i];
     if (!msgs.empty() && msgs.front().size() == values.size())
-      per_sender[i] = msgs.front();
+      per_sender[i] = std::span<const Fld>(msgs.front());
   }
   return decode_received(values, per_sender);
 }
@@ -972,39 +1012,45 @@ std::vector<std::vector<Fld>> BivariateEngine::reconstruct_private_multi(
   // Sender-major iteration (each sender walks the requests in order) keeps
   // every (sender, receiver) channel's message sequence in request order —
   // exactly what the slot-indexed inbox reads below rely on — while letting
-  // each sender evaluate its committed shares on its own lane.
+  // each sender evaluate its committed shares on its own lane. A receiver
+  // evaluates its own shares of its requests on its lane too (own[r] has
+  // the single writer requests[r].receiver).
+  std::vector<std::vector<Fld>> own(requests.size());
   net_.run_round([&](net::PartyId i, net::RoundLane& lane) {
-    for (const auto& req : requests) {
-      if (i == req.receiver) continue;
-      net::Payload payload(req.values.size());
-      charge_share_buffer(req.values.size());
-      committed_shares_into(
-          std::span<const LinComb>(req.values.data(), req.values.size()), i,
-          std::span<Fld>(payload.data(), payload.size()));
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+      const auto& req = requests[r];
+      const std::span<const LinComb> values(req.values.data(),
+                                            req.values.size());
+      if (i == req.receiver) {
+        own[r].resize(values.size());
+        committed_shares_into(values, i, std::span<Fld>(own[r]));
+        continue;
+      }
+      net::Payload payload(values.size());
+      charge_share_buffer(values.size());
+      committed_shares_into(values, i,
+                            std::span<Fld>(payload.data(), payload.size()));
       lane.send(req.receiver, std::move(payload));
     }
   });
   // Per receiver, messages arrive in request order (FIFO per channel), so
   // the r-th request toward a receiver reads that receiver's r-th inbox
-  // entry from each sender.
+  // entry from each sender — as a view, without copying it.
   std::vector<std::size_t> seen_for_receiver(n, 0);
   std::vector<std::vector<Fld>> out;
   out.reserve(requests.size());
-  for (const auto& req : requests) {
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    const auto& req = requests[r];
     const std::size_t slot = seen_for_receiver[req.receiver]++;
-    std::vector<std::optional<std::vector<Fld>>> per_sender(n);
+    std::vector<Reveal> per_sender(n);
     for (net::PartyId i = 0; i < n; ++i) {
       if (i == req.receiver) {
-        std::vector<Fld> own(req.values.size());
-        committed_shares_into(
-            std::span<const LinComb>(req.values.data(), req.values.size()),
-            req.receiver, std::span<Fld>(own));
-        per_sender[i] = std::move(own);
+        per_sender[i] = std::span<const Fld>(own[r]);
         continue;
       }
       const auto& msgs = net_.delivered().p2p[req.receiver][i];
       if (slot < msgs.size() && msgs[slot].size() == req.values.size())
-        per_sender[i] = msgs[slot];
+        per_sender[i] = std::span<const Fld>(msgs[slot]);
     }
     out.push_back(decode_received(req.values, per_sender));
   }

@@ -47,6 +47,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -127,9 +128,12 @@ class BivariateEngine final : public VssScheme {
   /// Bit-identical to calling committed_share_of per value.
   void committed_shares_into(std::span<const LinComb> values,
                              net::PartyId party, std::span<Fld> out) const;
-  std::vector<Fld> decode_received(
-      const std::vector<LinComb>& values,
-      const std::vector<std::optional<std::vector<Fld>>>& per_sender);
+  /// One sender's revealed shares as the decoding party sees them: a view
+  /// into its inbox (or its own share buffer); nullopt when the message is
+  /// missing or malformed.
+  using Reveal = std::optional<std::span<const Fld>>;
+  std::vector<Fld> decode_received(const std::vector<LinComb>& values,
+                                   std::span<const Reveal> per_sender);
 
   /// Charges one `vss.alloc.count` / `elements * sizeof(Fld)` worth of
   /// `vss.alloc.bytes` into the network's metrics scope — called wherever a

@@ -22,16 +22,17 @@ Fld SliceBlock::eval_at(std::size_t k, Fld x) const {
   return acc;
 }
 
-void SliceBlock::eval_all(Fld x, std::span<Fld> out) const {
-  GFOR14_EXPECTS(out.size() == m_);
-  if (m_ == 0) return;
+void SliceBlock::eval_range(Fld x, std::size_t base,
+                            std::span<Fld> out) const {
+  GFOR14_EXPECTS(base + out.size() <= m_);
+  if (out.empty()) return;
   if (stride_ == 0) {
     std::fill(out.begin(), out.end(), Fld::zero());
     return;
   }
-  std::copy(plane(stride_ - 1).begin(), plane(stride_ - 1).end(), out.begin());
+  std::copy_n(plane(stride_ - 1).begin() + base, out.size(), out.begin());
   for (std::size_t c = stride_ - 1; c-- > 0;)
-    ff::batch::horner_fold<64>(x, out, plane(c));
+    ff::batch::horner_fold<64>(x, out, plane(c).subspan(base, out.size()));
 }
 
 void SliceBlock::load_kmajor(std::span<const Fld> payload) {

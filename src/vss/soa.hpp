@@ -47,12 +47,14 @@ class SliceBlock {
   }
 
   /// Horner evaluation of polynomial k at x (cold complaint/accusation
-  /// paths; the hot paths use eval_all).
+  /// paths; the hot paths use eval_range).
   Fld eval_at(std::size_t k, Fld x) const;
 
-  /// out[k] = polynomial k evaluated at x, one batched Horner sweep.
-  /// out.size() must equal size().
-  void eval_all(Fld x, std::span<Fld> out) const;
+  /// out[i] = polynomial (base + i) evaluated at x, for i < out.size();
+  /// requires base + out.size() <= size(). One batched Horner sweep, so a
+  /// cache-sized range can be evaluated at many points while its planes
+  /// stay resident.
+  void eval_range(Fld x, std::size_t base, std::span<Fld> out) const;
 
   /// Loads from the wire layout payload[k * coeffs_per_poly + c]; payload
   /// size must be exactly m * coeffs_per_poly.

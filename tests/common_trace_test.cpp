@@ -85,6 +85,27 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_TRUE(json::Value::parse("  [1, 2.5, -3e2]  ").has_value());
 }
 
+TEST(Json, NestingDepthIsCapped) {
+  // Exactly at the cap parses, arrays and objects alike; one level deeper
+  // is rejected. A 200k-deep document (which used to overflow the stack)
+  // fails cleanly.
+  const auto nested = [](std::size_t depth, const char* open,
+                         const char* close) {
+    std::string s;
+    for (std::size_t i = 0; i < depth; ++i) s += open;
+    s += "0";
+    for (std::size_t i = 0; i < depth; ++i) s += close;
+    return s;
+  };
+  const std::size_t cap = json::Value::kMaxDepth;
+  EXPECT_TRUE(json::Value::parse(nested(cap, "[", "]")).has_value());
+  EXPECT_TRUE(json::Value::parse(nested(cap, "{\"k\":", "}")).has_value());
+  EXPECT_FALSE(json::Value::parse(nested(cap + 1, "[", "]")).has_value());
+  EXPECT_FALSE(json::Value::parse(nested(cap + 1, "{\"k\":", "}")).has_value());
+  EXPECT_FALSE(json::Value::parse(nested(200000, "[", "]")).has_value());
+  EXPECT_FALSE(json::Value::parse(std::string(200000, '[')).has_value());
+}
+
 TEST(Trace, SpanNestingBuildsTree) {
   ScopedTracing tracing;
   {

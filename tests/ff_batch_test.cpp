@@ -258,11 +258,16 @@ TEST(SoaContainers, SliceBlockMatchesPolyEvalAndWireRoundTrip) {
   }
   for (const Fld x : {Fld::zero(), Fld::one(), Fld::random(rng)}) {
     std::vector<Fld> all(m);
-    block.eval_all(x, std::span<Fld>(all));
+    block.eval_range(x, 0, std::span<Fld>(all));
     for (std::size_t k = 0; k < m; ++k) {
       EXPECT_EQ(all[k], polys[k].eval(x)) << "k=" << k;
       EXPECT_EQ(block.eval_at(k, x), polys[k].eval(x)) << "k=" << k;
     }
+    // An interior range (odd base, odd length) matches the same entries.
+    std::vector<Fld> part(m - 12);
+    block.eval_range(x, 5, std::span<Fld>(part));
+    for (std::size_t i = 0; i < part.size(); ++i)
+      EXPECT_EQ(part[i], polys[5 + i].eval(x)) << "i=" << i;
   }
   // k-major wire layout round-trips bit-for-bit.
   std::vector<Fld> wire(m * coeffs);

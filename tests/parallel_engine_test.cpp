@@ -216,6 +216,36 @@ std::string run_drop_scenario(net::Network& net) {
   return run_anonchan(net, vss::SchemeKind::kRB);
 }
 
+// An inconsistent dealer who resolves: its garbage R1 slices make the R2
+// cross-evaluation compare raise complaints, which it then answers. Its
+// batch (1000) is not a multiple of the 512-index R2 evaluation block, so
+// the sweep's partial tail block is on the complaint path too. The
+// complaint, qualification and blame outcomes must match across lanes.
+std::string run_inconsistent_dealer_scenario(net::Network& net) {
+  net.set_corrupt(0, true);
+  auto vss = vss::make_vss(vss::SchemeKind::kRB, net);
+  vss->set_dealer_behaviour(0, vss::DealerBehaviour::kInconsistentThenResolve);
+  std::vector<std::vector<Fld>> batches(net.n());
+  for (std::size_t d = 0; d < net.n(); ++d)
+    for (std::size_t k = 0; k < (d == 0 ? 1000u : 300u + 7 * d); ++k)
+      batches[d].push_back(Fld::from_u64(10000 * d + k));
+  const auto result = vss->share_all(batches);
+  std::string s = "qualified:";
+  for (bool q : result.qualified) s += q ? '1' : '0';
+  s += " blames:";
+  for (const auto& b : net.blames()) {
+    append_u64(s, b.accuser);
+    append_u64(s, b.accused);
+    s += b.reason + ' ';
+  }
+  std::vector<vss::LinComb> values;
+  for (std::size_t k = 0; k < batches[0].size(); k += 37)
+    values.push_back(vss::LinComb::of({0, k}));
+  s += " recon:";
+  for (Fld f : vss->reconstruct_public(values)) append_u64(s, f.to_u64());
+  return s;
+}
+
 constexpr Scenario kScenarios[] = {
     {"anonchan_rb", 5, run_anonchan_rb},
     {"anonchan_bgw", 4, run_anonchan_bgw},
@@ -227,6 +257,7 @@ constexpr Scenario kScenarios[] = {
     {"pseudosig_setup", 4, run_pseudosig_scenario},
     {"anonchan_rushing_adversary", 5, run_rushing_scenario},
     {"anonchan_drop_adversary", 5, run_drop_scenario},
+    {"vss_inconsistent_dealer", 5, run_inconsistent_dealer_scenario},
 };
 
 constexpr std::uint64_t kSeeds[] = {1001, 20140715, 987654321};

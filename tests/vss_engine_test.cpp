@@ -309,6 +309,104 @@ TEST(VssForgery, ZeroForgeryProbabilityRestoresCommitment) {
   EXPECT_EQ(recon[0], fe(1000));
 }
 
+// --- Chunked, lane-parallel reconstruction decode --------------------------
+//
+// The IC decode splits the values into 2048-value chunks that run on the
+// worker lanes, each walking the senders in index order. At n = 7 (t = 3)
+// party 1 substitutes its reveal on a scattered value subset (including
+// values on both sides of every chunk edge) and party 2 sends nothing, so
+// values take two different accept sets — {0, 1, 3, 4} and {0, 3, 4, 5} —
+// mixed within and across chunks. Dealer 6 is referenced only by a sparse
+// subset, so committed_shares_into takes its per-index path there while
+// dealers 0-5 take the batched range sweep.
+
+constexpr std::size_t kDecodeN = 7;
+constexpr std::size_t kDecodeBatch = 1100;
+
+bool substituted(std::size_t vi) {
+  const std::size_t r = vi % 2048;
+  return r == 0 || r == 2047 || (vi * 2654435761u) % 11 < 3;
+}
+
+std::vector<LinComb> decode_values(std::size_t count, std::size_t salt) {
+  std::vector<LinComb> values;
+  for (std::size_t vi = 0; vi < count; ++vi) {
+    LinComb v;
+    v.add({(vi + salt) % 6, (vi * 13 + salt) % kDecodeBatch}, fe(vi + 1));
+    v.add({(vi + 3) % 6, (vi / 7) % kDecodeBatch}, fe(3));
+    if (vi % 97 == salt % 97) v.add({6, (vi * 31) % kDecodeBatch}, fe(5));
+    v.add_constant(fe(vi + salt));
+    values.push_back(std::move(v));
+  }
+  return values;
+}
+
+/// Shares kDecodeN full batches on a fresh network with `threads` lanes and
+/// attaches the substituting/absent adversary for the reconstruction round.
+std::unique_ptr<VssScheme> share_for_decode(net::Network& net,
+                                            std::size_t threads) {
+  net.set_threads(threads);
+  net.set_corrupt(1, true);
+  net.set_corrupt(2, true);
+  auto vss = make_vss(SchemeKind::kRB, net);
+  std::vector<std::vector<Fld>> batches(kDecodeN);
+  for (std::size_t d = 0; d < kDecodeN; ++d)
+    for (std::size_t k = 0; k < kDecodeBatch; ++k)
+      batches[d].push_back(fe(1000 * d + k));
+  vss->share_all(batches);
+  net.attach_adversary(
+      std::make_shared<net::CallbackAdversary>([](net::Network& nw) {
+        for (const auto& view : nw.pending_from_corrupt(2))
+          nw.replace_pending(2, view.peer, {});
+        for (const auto& view : nw.pending_from_corrupt(1)) {
+          net::Payload forged = view.payload();
+          for (std::size_t vi = 0; vi < forged.size(); ++vi)
+            if (substituted(vi)) forged[vi] += Fld::one();
+          nw.replace_pending(1, view.peer, {std::move(forged)});
+        }
+      }));
+  return vss;
+}
+
+TEST(VssChunkedDecode, PublicReconstructionMatchesCommitmentAtAnyLaneCount) {
+  const auto values = decode_values(3 * 2048 + 500, 0);
+  std::vector<std::vector<Fld>> per_lanes;
+  for (std::size_t threads : {1, 2, 4}) {
+    net::Network net(kDecodeN, 77);
+    auto vss = share_for_decode(net, threads);
+    per_lanes.push_back(vss->reconstruct_public(values));
+    const auto& recon = per_lanes.back();
+    ASSERT_EQ(recon.size(), values.size());
+    for (std::size_t vi = 0; vi < values.size(); ++vi)
+      ASSERT_EQ(recon[vi], vss->committed_value(values[vi]))
+          << "threads=" << threads << " vi=" << vi;
+  }
+  EXPECT_EQ(per_lanes[0], per_lanes[1]);
+  EXPECT_EQ(per_lanes[0], per_lanes[2]);
+}
+
+TEST(VssChunkedDecode, PrivateMultiReconstructionMatchesCommitmentAtAnyLaneCount) {
+  const std::vector<VssScheme::PrivateRequest> requests = {
+      {0, decode_values(3 * 2048 + 500, 0)},
+      {3, decode_values(2 * 2048 + 1, 5)}};
+  std::vector<std::vector<std::vector<Fld>>> per_lanes;
+  for (std::size_t threads : {1, 2, 4}) {
+    net::Network net(kDecodeN, 78);
+    auto vss = share_for_decode(net, threads);
+    per_lanes.push_back(vss->reconstruct_private_multi(requests));
+    const auto& recon = per_lanes.back();
+    ASSERT_EQ(recon.size(), requests.size());
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+      ASSERT_EQ(recon[r].size(), requests[r].values.size());
+      for (std::size_t vi = 0; vi < recon[r].size(); ++vi)
+        ASSERT_EQ(recon[r][vi], vss->committed_value(requests[r].values[vi]))
+            << "threads=" << threads << " request=" << r << " vi=" << vi;
+    }
+  }
+  EXPECT_EQ(per_lanes[0], per_lanes[1]);
+  EXPECT_EQ(per_lanes[0], per_lanes[2]);
+}
+
 TEST(VssThreshold, MaxThresholdRespectedPerScheme) {
   EXPECT_EQ(scheme_max_t(SchemeKind::kBGW, 10), 3u);
   EXPECT_EQ(scheme_max_t(SchemeKind::kRB, 10), 4u);
