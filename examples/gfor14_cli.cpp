@@ -396,10 +396,28 @@ void print_costs(const net::CostReport& c) {
               c.p2p_messages, c.p2p_elements);
 }
 
+/// The fault seed: --fault-seed, else GFOR14_FAULT_SEED, else --seed.
+/// Recorded so a replay is immune to a different GFOR14_FAULT_SEED in the
+/// replaying environment. Exits 2 when the variable is not a decimal u64.
+std::uint64_t effective_fault_seed(const Options& opt) {
+  if (opt.fault_seed_set) return opt.fault_seed;
+  const char* env = std::getenv("GFOR14_FAULT_SEED");
+  if (env == nullptr) return opt.seed;
+  std::uint64_t seed = 0;
+  if (!parse_u64_strict(env, seed)) {
+    std::fprintf(stderr,
+                 "bad GFOR14_FAULT_SEED: '%s' (expected an unsigned decimal "
+                 "integer)\n",
+                 env);
+    std::exit(2);
+  }
+  return seed;
+}
+
 /// Parses --faults, marks every targeted sender corrupt and attaches a
-/// FaultEngine seeded per --fault-seed / GFOR14_FAULT_SEED / --seed.
-/// Returns the engine (null when no faults were requested), or exits with
-/// a diagnostic on a malformed spec.
+/// FaultEngine seeded per effective_fault_seed(). Returns the engine (null
+/// when no faults were requested), or exits 2 with a diagnostic on a
+/// malformed spec or a sender / explicit receiver outside [0, n).
 std::shared_ptr<net::FaultEngine> attach_faults(net::Network& net,
                                                 const Options& opt) {
   if (opt.faults.empty()) return nullptr;
@@ -409,15 +427,19 @@ std::shared_ptr<net::FaultEngine> attach_faults(net::Network& net,
     std::fprintf(stderr, "bad --faults: %s\n", error.c_str());
     std::exit(2);
   }
-  std::uint64_t seed = opt.seed;
-  if (opt.fault_seed_set) {
-    seed = opt.fault_seed;
-  } else if (const char* env = std::getenv("GFOR14_FAULT_SEED")) {
-    seed = std::strtoull(env, nullptr, 10);
+  for (const net::FaultSpec& spec : plan->specs) {
+    const bool explicit_receiver = spec.kind != net::FaultKind::kCrash &&
+                                   spec.channel == net::FaultChannel::kP2p &&
+                                   spec.to != net::kAllReceivers;
+    if (spec.from < net.n() && (!explicit_receiver || spec.to < net.n()))
+      continue;
+    const net::PartyId bad = spec.from < net.n() ? spec.to : spec.from;
+    std::fprintf(stderr, "bad --faults: party %zu is out of range for n=%zu\n",
+                 bad, net.n());
+    std::exit(2);
   }
-  for (net::PartyId p : plan->senders()) {
-    if (p < net.n()) net.set_corrupt(p, true);
-  }
+  const std::uint64_t seed = effective_fault_seed(opt);
+  for (net::PartyId p : plan->senders()) net.set_corrupt(p, true);
   auto engine = std::make_shared<net::FaultEngine>(*plan, seed);
   net.attach_faults(engine);
   std::printf("fault plan: %zu specs, GFOR14_FAULT_SEED=%llu\n",
@@ -432,15 +454,6 @@ const char* scheme_str(vss::SchemeKind kind) {
     case vss::SchemeKind::kGGOR13: return "ggor";
   }
   return "rb";
-}
-
-/// The fault seed attach_faults() would use — recorded so a replay is
-/// immune to a different GFOR14_FAULT_SEED in the replaying environment.
-std::uint64_t effective_fault_seed(const Options& opt) {
-  if (opt.fault_seed_set) return opt.fault_seed;
-  if (const char* env = std::getenv("GFOR14_FAULT_SEED"))
-    return std::strtoull(env, nullptr, 10);
-  return opt.seed;
 }
 
 /// Everything needed to re-execute this run, embedded in the recording.

@@ -12,7 +12,7 @@
 // attributes, compiled out entirely when CMake's probe failed. On aarch64
 // the scalar kernel already dispatches to PMULL per element and there is no
 // cross-lane carry-less multiply to gain from, so the wide path there (and
-// on any non-x86 target) degrades to LUT/table-gather loops.
+// on any non-x86 target) runs the scalar loops.
 #if defined(__x86_64__) && !defined(GFOR14_DISABLE_HW_CLMUL)
 #include <immintrin.h>
 #define GFOR14_BATCH_X86 1
@@ -21,21 +21,6 @@
 namespace gfor14::ff {
 
 namespace {
-
-// A span of GF2E<Bits<=64> is bit-identical to a span of uint64_t limbs.
-static_assert(sizeof(F8) == sizeof(std::uint64_t));
-static_assert(sizeof(F16) == sizeof(std::uint64_t));
-static_assert(sizeof(F32) == sizeof(std::uint64_t));
-static_assert(sizeof(F64) == sizeof(std::uint64_t));
-
-template <unsigned Bits>
-const std::uint64_t* raw(std::span<const GF2E<Bits>> s) {
-  return s.data()->raw_limbs();
-}
-template <unsigned Bits>
-std::uint64_t* raw(std::span<GF2E<Bits>> s) {
-  return s.data()->raw_limbs();
-}
 
 // --- dispatch state (mirrors ff/kernel.cpp) --------------------------------
 
@@ -63,15 +48,15 @@ SpanKernel resolved_span() {
   return g_span.load(std::memory_order_relaxed);
 }
 
-// Per-call LUT builds only pay for themselves on long spans; below this the
-// unrolled scalar-table loop wins.
-constexpr std::size_t kLutBuildThreshold = 256;
-
-std::uint64_t xtime64(std::uint64_t x) {
-  // Multiply by the generator polynomial x modulo x^64 + 0x1B, branchless.
-  return (x << 1) ^ (static_cast<std::uint64_t>(
-                         static_cast<std::int64_t>(x) >> 63) &
-                     Gf2Modulus<64>::low);
+// True when the wide path runs the vector clmul kernels below. Resolving the
+// span kernel here also records it (ff.batch.kernel.<name>) on first use.
+bool use_vector_clmul() {
+  if (resolved_span() != SpanKernel::kWide) return false;
+#if defined(GFOR14_BATCH_X86)
+  return active_kernel() == Kernel::kPclmul;
+#else
+  return false;
+#endif
 }
 
 }  // namespace
@@ -99,17 +84,19 @@ void reset_span_kernel() {
   g_span_resolved.store(false, std::memory_order_relaxed);
 }
 
-bool span_prefers_lut() {
-  if (resolved_span() != SpanKernel::kWide) return false;
-  const Kernel k = active_kernel();
-  return k == Kernel::kTable || k == Kernel::kBitloop;
-}
-
 // --- x86 vector kernels ----------------------------------------------------
 
 #if defined(GFOR14_BATCH_X86)
 
 namespace {
+
+// A span of F64 is bit-identical to a span of uint64_t words.
+static_assert(sizeof(F64) == sizeof(std::uint64_t));
+
+const std::uint64_t* raw(std::span<const F64> s) {
+  return s.data()->raw_limbs();
+}
+std::uint64_t* raw(std::span<F64> s) { return s.data()->raw_limbs(); }
 
 // Reduction modulo x^64 + 0x1B of the 128-bit product in each lane, kept in
 // vector registers: V = hi*x^64 ^ lo == hi*0x1B ^ lo, and deg(hi*0x1B) <=
@@ -330,88 +317,14 @@ void dot64_hw(const std::uint64_t* a, const std::uint64_t* b, std::size_t n,
 
 #endif  // GFOR14_BATCH_X86
 
-// --- generator-LUT constant multiplier -------------------------------------
+// --- dispatched span entry points ------------------------------------------
 
 namespace batch {
 
-ConstMul64Lut::ConstMul64Lut(F64 c) : c_(c) {
-  // Single-bit entries by 64 doubling steps: entry for bit 8j+b is
-  // c * x^(8j+b). Composite bytes fill by subset XOR — tab[v] =
-  // tab[v without lowest bit] ^ tab[lowest bit], both already filled since
-  // they are smaller than v.
-  std::uint64_t cur = c.to_u64();
-  for (auto& t : tab_) {
-    t[0] = 0;
-    for (unsigned bit = 0; bit < 8; ++bit) {
-      t[std::size_t{1} << bit] = cur;
-      cur = xtime64(cur);
-    }
-    for (std::size_t v = 3; v < 256; ++v)
-      if ((v & (v - 1)) != 0) t[v] = t[v & (v - 1)] ^ t[v & (~v + 1)];
-  }
-}
-
-void ConstMul64Lut::axpy(std::span<const F64> x, std::span<F64> y) const {
-  GFOR14_EXPECTS(y.size() >= x.size());
-  if (x.empty()) return;
-  const std::uint64_t* xs = raw(x);
-  std::uint64_t* ys = raw(y);
-  for (std::size_t i = 0; i < x.size(); ++i) ys[i] ^= mul_raw(xs[i]);
-}
-
-void ConstMul64Lut::fold(std::span<F64> acc, std::span<const F64> plane) const {
-  GFOR14_EXPECTS(plane.empty() || plane.size() >= acc.size());
-  if (acc.empty()) return;
-  std::uint64_t* as = raw(acc);
-  const std::uint64_t* ps = plane.empty() ? nullptr : raw(plane);
-  for (std::size_t i = 0; i < acc.size(); ++i)
-    as[i] = mul_raw(as[i]) ^ (ps != nullptr ? ps[i] : 0);
-}
-
-EncodePlan64::EncodePlan64(std::span<const F64> coeffs) {
-  luts_.reserve(coeffs.size());
-  for (F64 c : coeffs) luts_.emplace_back(c);
-}
-
-F64 EncodePlan64::dot(std::span<const F64> ys) const {
-  GFOR14_EXPECTS(ys.size() == luts_.size());
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < ys.size(); ++i)
-    acc ^= luts_[i].mul_raw(ys[i].to_u64());
-  return F64::from_u64(acc);
-}
-
-// --- dispatched span entry points ------------------------------------------
-
 namespace {
 
-// The scalar loops below ARE the oracle: byte-for-byte the code ff::axpy /
-// ff::dot ran before the batch layer existed.
-
-template <unsigned Bits>
-void axpy_scalar(GF2E<Bits> c, std::span<const GF2E<Bits>> x,
-                 std::span<GF2E<Bits>> y) {
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += c * x[i];
-}
-
-template <unsigned Bits>
-GF2E<Bits> dot_scalar(std::span<const GF2E<Bits>> a,
-                      std::span<const GF2E<Bits>> b) {
-  if constexpr (Bits <= 16) {
-    GF2E<Bits> acc;
-    for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-    return acc;
-  } else {
-    typename GF2E<Bits>::Wide acc{};
-    for (std::size_t i = 0; i < a.size(); ++i)
-      GF2E<Bits>::mul_acc_wide(a[i], b[i], acc);
-    return GF2E<Bits>::reduce_wide(acc);
-  }
-}
-
-template <unsigned Bits>
-void horner_scalar(GF2E<Bits> x, std::span<GF2E<Bits>> acc,
-                   std::span<const GF2E<Bits>> plane) {
+// The scalar oracle for horner_fold; axpy and dot use ff::axpy / ff::dot.
+void horner_scalar(F64 x, std::span<F64> acc, std::span<const F64> plane) {
   if (plane.empty()) {
     for (std::size_t i = 0; i < acc.size(); ++i) acc[i] *= x;
   } else {
@@ -420,168 +333,56 @@ void horner_scalar(GF2E<Bits> x, std::span<GF2E<Bits>> acc,
   }
 }
 
-// Small-field (exp/log) gather with the constant's log hoisted.
-
-template <unsigned Bits>
-void axpy_small_wide(GF2E<Bits> c, std::span<const GF2E<Bits>> x,
-                     std::span<GF2E<Bits>> y) {
-  const auto& t = gf2_small_tables<Bits>();
-  const std::uint32_t logc = t.log[c.to_u64()];
-  const std::uint64_t* xs = raw(x);
-  std::uint64_t* ys = raw(y);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const std::uint64_t xv = xs[i];
-    if (xv != 0) ys[i] ^= t.exp[logc + t.log[xv]];
-  }
-}
-
-template <unsigned Bits>
-GF2E<Bits> dot_small_wide(std::span<const GF2E<Bits>> a,
-                          std::span<const GF2E<Bits>> b) {
-  const auto& t = gf2_small_tables<Bits>();
-  const std::uint64_t* as = raw(a);
-  const std::uint64_t* bs = raw(b);
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const std::uint64_t av = as[i];
-    const std::uint64_t bv = bs[i];
-    if (av != 0 && bv != 0) acc ^= t.exp[t.log[av] + t.log[bv]];
-  }
-  return GF2E<Bits>::from_u64(acc);
-}
-
-template <unsigned Bits>
-void horner_small_wide(GF2E<Bits> x, std::span<GF2E<Bits>> acc,
-                       std::span<const GF2E<Bits>> plane) {
-  const auto& t = gf2_small_tables<Bits>();
-  const std::uint32_t logx = t.log[x.to_u64()];
-  std::uint64_t* as = raw(acc);
-  const std::uint64_t* ps = plane.empty() ? nullptr : raw(plane);
-  for (std::size_t i = 0; i < acc.size(); ++i) {
-    const std::uint64_t av = as[i];
-    const std::uint64_t prod = av != 0 ? t.exp[logx + t.log[av]] : 0;
-    as[i] = prod ^ (ps != nullptr ? ps[i] : 0);
-  }
-}
-
 }  // namespace
 
 template <unsigned Bits>
+  requires(Bits == 64)
 void axpy(GF2E<Bits> c, std::span<const GF2E<Bits>> x,
           std::span<GF2E<Bits>> y) {
   GFOR14_EXPECTS(y.size() >= x.size());
   if (x.empty() || c.is_zero()) return;
-  if (resolved_span() == SpanKernel::kScalar) {
-    axpy_scalar(c, x, y);
-    return;
-  }
-  if constexpr (Bits <= 16) {
-    axpy_small_wide(c, x, y);
-  } else if constexpr (Bits == 64) {
-    switch (active_kernel()) {
+  if (!use_vector_clmul()) return ff::axpy(c, x, y);
 #if defined(GFOR14_BATCH_X86)
-      case Kernel::kPclmul:
-        axpy64_hw(c.to_u64(), raw(x), raw(y), x.size());
-        return;
+  axpy64_hw(c.to_u64(), raw(x), raw(y), x.size());
 #endif
-      case Kernel::kTable:
-        if (x.size() >= kLutBuildThreshold) {
-          batch::ConstMul64Lut(c).axpy(x, y);
-          return;
-        }
-        break;
-      default:
-        break;
-    }
-    axpy_scalar(c, x, y);
-  } else {
-    // GF(2^32): the scalar multiply is already a single dispatched clmul +
-    // constant fold. GF(2^128): gains come from the lazy Wide accumulation
-    // that the scalar ops already use.
-    axpy_scalar(c, x, y);
-  }
 }
 
 template <unsigned Bits>
+  requires(Bits == 64)
 GF2E<Bits> dot(std::span<const GF2E<Bits>> a, std::span<const GF2E<Bits>> b) {
   GFOR14_EXPECTS(a.size() == b.size());
   if (a.empty()) return GF2E<Bits>{};
-  if (resolved_span() == SpanKernel::kScalar) return dot_scalar(a, b);
-  if constexpr (Bits <= 16) {
-    return dot_small_wide(a, b);
-  } else if constexpr (Bits == 64) {
+  if (!use_vector_clmul()) return ff::dot(a, b);
+  F64::Wide acc{};
 #if defined(GFOR14_BATCH_X86)
-    if (active_kernel() == Kernel::kPclmul) {
-      typename GF2E<Bits>::Wide acc{};
-      dot64_hw(raw(a), raw(b), a.size(), acc.data());
-      return GF2E<Bits>::reduce_wide(acc);
-    }
+  dot64_hw(raw(a), raw(b), a.size(), acc.data());
 #endif
-    return dot_scalar(a, b);
-  } else {
-    return dot_scalar(a, b);
-  }
+  return F64::reduce_wide(acc);
 }
 
 template <unsigned Bits>
+  requires(Bits == 64)
 void horner_fold(GF2E<Bits> x, std::span<GF2E<Bits>> acc,
                  std::span<const GF2E<Bits>> plane) {
   GFOR14_EXPECTS(plane.empty() || plane.size() >= acc.size());
   if (acc.empty()) return;
-  if (resolved_span() == SpanKernel::kScalar) {
-    horner_scalar(x, acc, plane);
-    return;
-  }
-  if constexpr (Bits <= 16) {
-    horner_small_wide(x, acc, plane);
-  } else if constexpr (Bits == 64) {
-    switch (active_kernel()) {
+  if (!use_vector_clmul()) return horner_scalar(x, acc, plane);
 #if defined(GFOR14_BATCH_X86)
-      case Kernel::kPclmul:
-        horner64_hw(x.to_u64(), raw(acc),
-                    plane.empty() ? nullptr : raw(plane), acc.size());
-        return;
+  horner64_hw(x.to_u64(), raw(acc), plane.empty() ? nullptr : raw(plane),
+              acc.size());
 #endif
-      case Kernel::kTable:
-        if (acc.size() >= kLutBuildThreshold) {
-          batch::ConstMul64Lut(x).fold(acc, plane);
-          return;
-        }
-        break;
-      default:
-        break;
-    }
-    horner_scalar(x, acc, plane);
-  } else {
-    horner_scalar(x, acc, plane);
-  }
 }
 
 template <unsigned Bits>
+  requires(Bits == 64)
 void scale(GF2E<Bits> c, std::span<GF2E<Bits>> y) {
   horner_fold(c, y, std::span<const GF2E<Bits>>{});
 }
 
-template void axpy<8>(F8, std::span<const F8>, std::span<F8>);
-template void axpy<16>(F16, std::span<const F16>, std::span<F16>);
-template void axpy<32>(F32, std::span<const F32>, std::span<F32>);
 template void axpy<64>(F64, std::span<const F64>, std::span<F64>);
-template void axpy<128>(F128, std::span<const F128>, std::span<F128>);
-template F8 dot<8>(std::span<const F8>, std::span<const F8>);
-template F16 dot<16>(std::span<const F16>, std::span<const F16>);
-template F32 dot<32>(std::span<const F32>, std::span<const F32>);
 template F64 dot<64>(std::span<const F64>, std::span<const F64>);
-template F128 dot<128>(std::span<const F128>, std::span<const F128>);
-template void scale<8>(F8, std::span<F8>);
-template void scale<16>(F16, std::span<F16>);
-template void scale<32>(F32, std::span<F32>);
 template void scale<64>(F64, std::span<F64>);
-template void scale<128>(F128, std::span<F128>);
-template void horner_fold<8>(F8, std::span<F8>, std::span<const F8>);
-template void horner_fold<16>(F16, std::span<F16>, std::span<const F16>);
-template void horner_fold<32>(F32, std::span<F32>, std::span<const F32>);
 template void horner_fold<64>(F64, std::span<F64>, std::span<const F64>);
-template void horner_fold<128>(F128, std::span<F128>, std::span<const F128>);
 
 }  // namespace batch
 }  // namespace gfor14::ff

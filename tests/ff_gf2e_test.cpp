@@ -10,7 +10,7 @@ namespace {
 template <typename F>
 class Gf2eTest : public ::testing::Test {};
 
-using FieldTypes = ::testing::Types<F8, F16, F32, F64, F128>;
+using FieldTypes = ::testing::Types<F32, F64>;
 TYPED_TEST_SUITE(Gf2eTest, FieldTypes);
 
 TYPED_TEST(Gf2eTest, AdditionIsXorAndSelfInverse) {
@@ -34,6 +34,16 @@ TYPED_TEST(Gf2eTest, MultiplicationCommutativeAssociativeDistributive) {
     EXPECT_EQ(a * b, b * a);
     EXPECT_EQ((a * b) * c, a * (b * c));
     EXPECT_EQ(a * (b + c), a * b + a * c);
+  }
+}
+
+TYPED_TEST(Gf2eTest, FrobeniusConsistency) {
+  // Squaring is a field homomorphism: (a + b)^2 == a^2 + b^2.
+  Rng rng(29);
+  for (int i = 0; i < 50; ++i) {
+    const auto a = TypeParam::random(rng);
+    const auto b = TypeParam::random(rng);
+    EXPECT_EQ((a + b) * (a + b), a * a + b * b);
   }
 }
 
@@ -133,21 +143,6 @@ TEST(Gf2e64, KnownReduction) {
   EXPECT_EQ(x63 * x, F64::from_u64(0x1B));
 }
 
-TEST(Gf2e8, MatchesAesFieldSample) {
-  // GF(2^8) with 0x11B is the AES field: 0x57 * 0x83 == 0xC1 (FIPS-197).
-  EXPECT_EQ(F8::from_u64(0x57) * F8::from_u64(0x83), F8::from_u64(0xC1));
-}
-
-TEST(Gf2e128, FrobeniusConsistency) {
-  // Squaring is a field homomorphism: (a + b)^2 == a^2 + b^2.
-  Rng rng(29);
-  for (int i = 0; i < 50; ++i) {
-    const auto a = F128::random(rng);
-    const auto b = F128::random(rng);
-    EXPECT_EQ((a + b) * (a + b), a * a + b * b);
-  }
-}
-
 TEST(Gf2e, BitAccessorMatchesLimbs) {
   const F64 v = F64::from_u64(0b1011);
   EXPECT_TRUE(v.bit(0));
@@ -166,8 +161,8 @@ TEST(Gf2e, EvalPointsDistinctAndNonzero) {
 }
 
 TEST(Gf2e, FromU64RangeCheckedForSmallFields) {
-  EXPECT_THROW(F8::from_u64(0x100), ContractViolation);
-  EXPECT_NO_THROW(F8::from_u64(0xFF));
+  EXPECT_THROW(F32::from_u64(1ULL << 32), ContractViolation);
+  EXPECT_NO_THROW(F32::from_u64(0xFFFFFFFFULL));
 }
 
 TEST(Gf2e, ToStringHex) {

@@ -1,6 +1,6 @@
 // Differential tests for the carry-less-multiply kernel layer: the windowed
 // table path and the hardware path (when present) must agree bit-for-bit
-// with the original bit-loop oracle, across every field size that rides on
+// with the original bit-loop oracle, across both field sizes that ride on
 // them, and the batch-inversion / span kernels must match their elementwise
 // references. Run under GFOR14_FF_KERNEL=soft in CI to pin the software
 // path on hardware hosts.
@@ -68,8 +68,7 @@ TEST(FfKernel, HardwareMatchesBitloopOracle) {
 }
 
 /// Field-level differential: every selectable kernel must produce identical
-/// products for GF(2^64) and GF(2^128) (the sizes that dispatch through
-/// clmul64; the table-driven small fields do not).
+/// products for GF(2^64) and GF(2^32) (both dispatch through clmul64).
 template <typename F>
 void field_products_match_across_kernels() {
   std::vector<ff::Kernel> kernels = {ff::Kernel::kBitloop, ff::Kernel::kTable};
@@ -98,8 +97,8 @@ TEST(FfKernel, F64ProductsMatchAcrossKernels) {
   field_products_match_across_kernels<F64>();
 }
 
-TEST(FfKernel, F128ProductsMatchAcrossKernels) {
-  field_products_match_across_kernels<F128>();
+TEST(FfKernel, F32ProductsMatchAcrossKernels) {
+  field_products_match_across_kernels<F32>();
 }
 
 TEST(FfKernel, SetKernelRejectsUnavailableHardware) {
@@ -122,7 +121,7 @@ TEST(FfKernel, SetKernelRejectsUnavailableHardware) {
 template <typename F>
 class FfOpsTest : public ::testing::Test {};
 
-using OpsFieldTypes = ::testing::Types<F8, F16, F32, F64, F128>;
+using OpsFieldTypes = ::testing::Types<F32, F64>;
 TYPED_TEST_SUITE(FfOpsTest, OpsFieldTypes);
 
 TYPED_TEST(FfOpsTest, BatchInverseMatchesElementwiseInverse) {
