@@ -48,7 +48,7 @@ Poly SymmetricBivariate::slice(Fld y0) const {
     const std::size_t len = deg_ + 1 - r;
     const std::span<const Fld> row(&coeffs_[row_start], len);
     out[r] += ff::dot(row, std::span<const Fld>(&ypow[r], len));
-    ff::axpy(ypow[r], row.subspan(1), std::span<Fld>(&out[r + 1], len - 1));
+    ff::axpy(ypow[r], row.subspan(1), std::span<Fld>(out).subspan(r + 1));
     row_start += len;
   }
   return Poly{std::move(out)};

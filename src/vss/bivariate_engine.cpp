@@ -55,7 +55,7 @@ void BivariateEngine::set_dealer_behaviour(net::PartyId dealer,
 
 std::size_t BivariateEngine::count(net::PartyId dealer) const {
   GFOR14_EXPECTS(dealer < net_.n());
-  return pools_[dealer].count();
+  return pools_[dealer].size();
 }
 
 std::size_t BivariateEngine::share_rounds() const {
@@ -87,13 +87,13 @@ struct BivariateEngine::ShareCtx {
   // context shared by every round so no payload loop recomputes them.
   std::vector<Fld> alpha;
 
-  // Ground truth polynomials per dealer (indexed like batches), plus their
-  // coefficient-major expansion used to build slices with span kernels.
-  std::vector<std::vector<SymmetricBivariate>> dealt;
-  std::vector<BivariateBatch> dealt_soa;
+  // Ground truth polynomials per dealer (indexed like batches): the
+  // dealer's upper-triangular coefficient planes, the only copy.
+  std::vector<DealerPlanes> dealt;
   // recv[i][d]: the slice block party i currently holds for dealer d
   // (plane(c)[k] = x^c coefficient of the k-th slice); evolves as published
-  // slices are adopted.
+  // slices are adopted. Dealer d fills recv[d][d] in R1; party i fills the
+  // rest of recv[i] from its R1 inbox.
   std::vector<std::vector<SliceBlock>> recv;
 
   struct Complaint {
@@ -116,67 +116,98 @@ struct BivariateEngine::ShareCtx {
 void BivariateEngine::round_distribute_slices(ShareCtx& ctx) {
   const std::size_t n = net_.n();
   const std::size_t t = profile_.t;
-  // Round handler runs per dealer (non-dealers are no-ops); dealer d only
-  // touches rng_of(d), dealt[d] and its own recv[d][d] slot, so dealers are
-  // independent lanes.
-  net_.run_round([&](net::PartyId d, net::RoundLane& lane) {
-    const auto& batch = (*ctx.batches)[d];
-    if (batch.empty()) return;
-    const DealerBehaviour b = behaviour_[d];
-    if (b == DealerBehaviour::kSilent) return;
-    SliceBlock block;
-    for (net::PartyId i = 0; i < n; ++i) {
-      charge_share_buffer(batch.size() * (t + 1));
-      // A misbehaving dealer hands garbage slices to every second party
-      // (other than itself) — enough to exercise complaint/resolution.
-      const bool garbage = (b == DealerBehaviour::kInconsistentThenResolve ||
-                            b == DealerBehaviour::kInconsistentRefuse) &&
-                           i != d && i % 2 == 1;
-      if (garbage) {
-        // The per-(i, k) RNG draw order is part of the transcript contract,
-        // so the garbage path stays the scalar per-slice loop.
-        net::Payload payload;
-        payload.reserve(batch.size() * (t + 1));
-        for (std::size_t k = 0; k < batch.size(); ++k) {
-          const Poly slice = Poly::random(net_.rng_of(d), t);
-          for (std::size_t c = 0; c <= t; ++c)
-            payload.push_back(c < slice.coeffs().size() ? slice.coeffs()[c]
-                                                        : Fld::zero());
+  const auto m_of = [&](net::PartyId d) { return (*ctx.batches)[d].size(); };
+  // Dealer work, before the round: out[d][i] is dealer d's slice payload
+  // for party i. Dealer d only touches rng_of(d), dealt[d], out[d] and its
+  // own recv[d][d] slot, so dealers are independent tasks; the largest
+  // batches start first so no lane idles behind one at the end.
+  std::vector<std::vector<net::Payload>> out(n, std::vector<net::Payload>(n));
+  std::vector<net::PartyId> by_size = ctx.dealers;
+  std::stable_sort(by_size.begin(), by_size.end(),
+                   [&](net::PartyId a, net::PartyId b) {
+                     return m_of(a) > m_of(b);
+                   });
+  ThreadPool::instance().parallel_for(
+      0, by_size.size(), net_.threads(), [&](std::size_t x) {
+        const net::PartyId d = by_size[x];
+        const std::size_t m = m_of(d);
+        // Polynomial generation: the draws land straight in the
+        // coefficient planes, in SymmetricBivariate's order (per k, storage
+        // order, then the secret overwrites (0, 0)).
+        ctx.dealt[d].deal(net_.rng_of(d), t, (*ctx.batches)[d]);
+        const DealerBehaviour b = behaviour_[d];
+        if (b == DealerBehaviour::kSilent) {
+          ctx.recv[d][d].assign(m, t + 1);
+          return;
         }
-        lane.send(i, std::move(payload));
-        continue;
-      }
-      // Honest slices: one batched Horner sweep over the dealer's
-      // coefficient planes instead of m per-Poly slice() calls.
-      ctx.dealt_soa[d].slices_at(ctx.alpha[i], block);
-      if (i == d) {
-        // Local state; no self-message on the wire.
-        ctx.recv[i][d] = block;
-      } else {
-        net::Payload payload(batch.size() * (t + 1));
-        block.store_kmajor(payload);
-        lane.send(i, std::move(payload));
-      }
+        // A misbehaving dealer hands garbage slices to every second party
+        // (other than itself) — enough to exercise complaint/resolution.
+        // The per-(i, k) RNG draw order is part of the transcript contract,
+        // so they are drawn in i order by the scalar loop (honest slices
+        // draw nothing).
+        const bool inconsistent =
+            b == DealerBehaviour::kInconsistentThenResolve ||
+            b == DealerBehaviour::kInconsistentRefuse;
+        std::vector<net::PartyId> honest;
+        for (net::PartyId i = 0; i < n; ++i) {
+          out[d][i].reserve(i == d ? 0 : m * (t + 1));
+          if (!(inconsistent && i != d && i % 2 == 1)) {
+            honest.push_back(i);
+            continue;
+          }
+          for (std::size_t k = 0; k < m; ++k) {
+            const Poly slice = Poly::random(net_.rng_of(d), t);
+            for (std::size_t c = 0; c <= t; ++c)
+              out[d][i].push_back(c < slice.coeffs().size() ? slice.coeffs()[c]
+                                                            : Fld::zero());
+          }
+        }
+        // Honest slices, one cache block of indices at a time: every
+        // peer's slice rows are computed while the block's planes stay
+        // resident, then appended to that peer's k-major payload (the
+        // dealer's own rows go to its slice block; no self-message).
+        const DealerPlanes& planes = ctx.dealt[d];
+        ctx.recv[d][d].reserve(m, t + 1);
+        std::vector<Fld> rows((t + 1) * std::min(m, kDealBlock));
+        for (std::size_t lo = 0; lo < m; lo += kDealBlock) {
+          const std::size_t len = std::min(kDealBlock, m - lo);
+          const std::span<Fld> block(rows.data(), (t + 1) * len);
+          for (net::PartyId i : honest) {
+            planes.slice_rows(ctx.alpha[i], lo, len, block);
+            if (i == d)
+              ctx.recv[d][d].append_rows(block, len);
+            else
+              append_kmajor(block, len, out[d][i]);
+          }
+        }
+      });
+  net_.run_round([&](net::PartyId d, net::RoundLane& lane) {
+    const std::size_t m = m_of(d);
+    if (m == 0 || behaviour_[d] == DealerBehaviour::kSilent) return;
+    for (net::PartyId i = 0; i < n; ++i) {
+      charge_share_buffer(m * (t + 1));
+      if (i != d) lane.send(i, std::move(out[d][i]));
     }
   });
-  // Parse: wrong-size or missing payloads leave the default zero slices
-  // (the paper's default-message convention) and earn the dealer a blame
+  // Parse: each party sizes and fills its own slice blocks from its inbox.
+  // Wrong-size or missing payloads leave the default zero slices (the
+  // paper's default-message convention) and earn the dealer a blame
   // record. Party i only writes recv[i] and its own blame bucket.
   net_.for_each_party([&](net::PartyId i) {
     for (net::PartyId d : ctx.dealers) {
       if (i == d) continue;
-      const auto& msgs = net_.delivered().p2p[i][d];
-      if (msgs.empty()) {
-        net_.blame(i, d, "vss.slices.missing");
-        continue;
-      }
-      const auto& payload = msgs.front();
       const std::size_t m = (*ctx.batches)[d].size();
-      if (payload.size() != m * (t + 1)) {
-        net_.blame(i, d, "vss.slices.malformed");
+      const auto& msgs = net_.delivered().p2p[i][d];
+      const char* fault = msgs.empty() ? "vss.slices.missing"
+                          : msgs.front().size() != m * (t + 1)
+                              ? "vss.slices.malformed"
+                              : nullptr;
+      if (fault) {
+        net_.blame(i, d, fault);
+        ctx.recv[i][d].assign(m, t + 1);
         continue;
       }
-      ctx.recv[i][d].load_kmajor(payload);
+      ctx.recv[i][d].load_kmajor(msgs.front(), t + 1);
     }
   });
 }
@@ -201,15 +232,15 @@ void BivariateEngine::round_cross_evaluations(ShareCtx& ctx) {
     std::vector<net::Payload> out(n);
     for (net::PartyId j = 0; j < n; ++j) {
       if (i == j) continue;
-      out[j].resize(ctx.total_m);
+      out[j].reserve(ctx.total_m);
       charge_share_buffer(ctx.total_m);
     }
+    // Blocks arrive in payload order, so each claim payload is built by
+    // appending: every element is written once.
     for_each_block(i, [&](net::PartyId, const SliceBlock& block,
-                          std::size_t lo, std::size_t len, std::size_t pos) {
+                          std::size_t lo, std::size_t len, std::size_t) {
       for (net::PartyId j = 0; j < n; ++j)
-        if (i != j)
-          block.eval_range(ctx.alpha[j], lo,
-                           std::span<Fld>(out[j].data() + pos, len));
+        if (i != j) block.append_eval(ctx.alpha[j], lo, len, out[j]);
     });
     for (net::PartyId j = 0; j < n; ++j)
       if (i != j) lane.send(j, std::move(out[j]));
@@ -304,7 +335,6 @@ ShareResult BivariateEngine::share_all(
   ctx.alpha.resize(n);
   for (net::PartyId i = 0; i < n; ++i) ctx.alpha[i] = eval_point<64>(i);
   ctx.dealt.resize(n);
-  ctx.dealt_soa.resize(n);
   ctx.recv.assign(n, std::vector<SliceBlock>(n));
   ctx.public_fault.assign(n, false);
   ctx.published.resize(n);
@@ -314,21 +344,7 @@ ShareResult BivariateEngine::share_all(
     if (batches[d].empty()) continue;
     ctx.dealers.push_back(d);
     ctx.total_m += batches[d].size();
-    for (net::PartyId i = 0; i < n; ++i)
-      ctx.recv[i][d].assign(batches[d].size(), t + 1);
   }
-  // Polynomial generation per dealer: dealer d draws only from its own
-  // forked RNG stream and fills only dealt[d]. The draw order (per k, in
-  // storage order) is unchanged; the SoA expansion happens after the draws.
-  net_.for_each_party([&](net::PartyId d) {
-    if (batches[d].empty()) return;
-    ctx.dealt[d].reserve(batches[d].size());
-    for (Fld s : batches[d])
-      ctx.dealt[d].push_back(
-          SymmetricBivariate::random_with_secret(net_.rng_of(d), t, s));
-    ctx.dealt_soa[d].build(ctx.dealt[d], t);
-  });
-
   // R1 + R2.
   round_distribute_slices(ctx);
   round_cross_evaluations(ctx);
@@ -390,7 +406,7 @@ ShareResult BivariateEngine::share_all(
       payload.push_back(enc(c.lo));
       payload.push_back(enc(c.hi));
       payload.push_back(
-          ctx.dealt[c.d][c.k].eval(eval_point<64>(c.lo), eval_point<64>(c.hi)));
+          ctx.dealt[c.d].eval(c.k, ctx.alpha[c.lo], ctx.alpha[c.hi]));
     }
     std::vector<net::Payload> seen;
     publish_round(out, seen);
@@ -443,14 +459,16 @@ ShareResult BivariateEngine::share_all(
         if (b == DealerBehaviour::kSilent ||
             b == DealerBehaviour::kInconsistentRefuse)
           continue;
+        const std::size_t m = batches[d].size();
+        std::vector<Fld> rows((t + 1) * std::min(m, kDealBlock));
         for (net::PartyId a : ctx.accusers[d]) {
           auto& payload = out[d];
           payload.push_back(enc(a));
-          for (std::size_t k = 0; k < batches[d].size(); ++k) {
-            const Poly slice = ctx.dealt[d][k].slice(eval_point<64>(a));
-            for (std::size_t c = 0; c <= t; ++c)
-              payload.push_back(c < slice.coeffs().size() ? slice.coeffs()[c]
-                                                          : Fld::zero());
+          for (std::size_t lo = 0; lo < m; lo += kDealBlock) {
+            const std::size_t len = std::min(kDealBlock, m - lo);
+            const std::span<Fld> block(rows.data(), (t + 1) * len);
+            ctx.dealt[d].slice_rows(ctx.alpha[a], lo, len, block);
+            append_kmajor(block, len, payload);
           }
         }
       }
@@ -552,18 +570,14 @@ ShareResult BivariateEngine::share_all(
 
   // Finalize: append sharings, derive committed share polynomials. The
   // qualification flags live in vector<bool> (adjacent bits share a byte),
-  // so they are set serially; the interpolation work — all of the cost —
-  // then runs per dealer, each writing only its own pre-sized slots.
+  // so they are set serially; the pool growth and the interpolation work —
+  // all of the cost — then run per dealer, each writing only its own pool.
   ShareResult result;
   result.qualified.assign(n, true);
-  std::vector<std::size_t> base(n, 0);
   for (net::PartyId d : ctx.dealers) {
     const bool ok = accepts[d] >= n - profile_.t;
     result.qualified[d] = ok;
     if (!ok) qualified_[d] = false;
-    pools_[d].configure(t + 1);
-    base[d] = pools_[d].append_zero(batches[d].size());  // zero columns
-                                                         // until interpolated
   }
   // Finalize faults found on the worker lanes (one byte per dealer slot, so
   // concurrent writers never share a byte): 1 = too few content parties,
@@ -574,7 +588,16 @@ ShareResult BivariateEngine::share_all(
   std::vector<std::uint8_t> finalize_fault(n, 0);
   net_.for_each_party([&](net::PartyId d) {
     const std::size_t m = batches[d].size();
-    if (m == 0 || !result.qualified[d]) return;
+    if (m == 0) return;
+    // New pool columns start zero: the default of a disqualified sharing,
+    // and the accumulator of the interpolation below.
+    SliceBlock& pool = pools_[d];
+    if (pool.coeffs_per_poly() == 0) pool.assign(0, t + 1);
+    const std::size_t base = pool.append_zero(m);
+    if (!result.qualified[d]) return;
+    const auto column = [&](std::size_t c) {
+      return pool.plane(c).subspan(base, m);
+    };
     // The content honest parties (those without a private conflict) are
     // the same for every index k of this dealer's batch, so the Lagrange
     // basis polynomials L_p(y) of the first t + 1 of them are computed
@@ -610,38 +633,31 @@ ShareResult BivariateEngine::share_all(
     // evaluated at y = 0 — exactly the x^0 coefficient plane of its slice
     // block — so g's coefficient planes are t + 1 span axpys, and the
     // consistency sweep (every other content honest share lies on g, the
-    // qualification invariant) is one batched Horner per tail party.
-    std::vector<std::vector<Fld>> gplanes(
-        t + 1, std::vector<Fld>(m, Fld::zero()));
+    // qualification invariant) is one batched Horner per tail party. g's
+    // planes accumulate in the new pool columns themselves.
     for (std::size_t i = 0; i <= t; ++i) {
       const std::span<const Fld> yrow = ctx.recv[content[i]][d].plane(0);
       const auto& bc = basis[i].coeffs();
       for (std::size_t c = 0; c < bc.size(); ++c)
-        ff::batch::axpy<64>(bc[c], yrow, std::span<Fld>(gplanes[c]));
+        ff::batch::axpy<64>(bc[c], yrow, column(c));
     }
     std::vector<std::uint8_t> ok_k(m, 1);
-    std::vector<Fld> pred(m);
+    std::vector<Fld> pred;
     for (std::size_t i = t + 1; i < content.size(); ++i) {
-      std::copy(gplanes[t].begin(), gplanes[t].end(), pred.begin());
+      pred.assign(column(t).begin(), column(t).end());
       for (std::size_t c = t; c-- > 0;)
-        ff::batch::horner_fold<64>(xs[i], std::span<Fld>(pred),
-                                   std::span<const Fld>(gplanes[c]));
+        ff::batch::horner_fold<64>(xs[i], std::span<Fld>(pred), column(c));
       const std::span<const Fld> yrow = ctx.recv[content[i]][d].plane(0);
       for (std::size_t k = 0; k < m; ++k)
         if (pred[k] != yrow[k]) ok_k[k] = 0;
     }
-    // Consistent columns land in the pool; inconsistent ones stay the
-    // default zero and mark the dealer faulty (same degradation as before).
-    for (std::size_t c = 0; c <= t; ++c) {
-      const std::span<Fld> dst = pools_[d].plane(c);
-      for (std::size_t k = 0; k < m; ++k)
-        if (ok_k[k]) dst[base[d] + k] = gplanes[c][k];
+    // Inconsistent columns go back to the default zero and mark the dealer
+    // faulty (same degradation as before).
+    for (std::size_t k = 0; k < m; ++k) {
+      if (ok_k[k]) continue;
+      finalize_fault[d] = 2;
+      for (std::size_t c = 0; c <= t; ++c) column(c)[k] = Fld::zero();
     }
-    for (std::size_t k = 0; k < m; ++k)
-      if (!ok_k[k]) {
-        finalize_fault[d] = 2;
-        break;
-      }
   });
   for (net::PartyId d : ctx.dealers) {
     if (finalize_fault[d] == 0) continue;
@@ -664,8 +680,8 @@ Fld BivariateEngine::committed_share_of(const LinComb& v,
   const Fld alpha = eval_point<64>(party);
   for (const auto& [ref, coeff] : v.terms()) {
     GFOR14_EXPECTS(ref.dealer < net_.n());
-    GFOR14_EXPECTS(ref.index < pools_[ref.dealer].count());
-    acc += coeff * pools_[ref.dealer].eval_one(ref.index, alpha);
+    GFOR14_EXPECTS(ref.index < pools_[ref.dealer].size());
+    acc += coeff * pools_[ref.dealer].eval_at(ref.index, alpha);
   }
   return acc;
 }
@@ -691,7 +707,7 @@ void BivariateEngine::committed_shares_into(std::span<const LinComb> values,
   for (const LinComb& v : values)
     for (const auto& [ref, coeff] : v.terms()) {
       GFOR14_EXPECTS(ref.dealer < n);
-      GFOR14_EXPECTS(ref.index < pools_[ref.dealer].count());
+      GFOR14_EXPECTS(ref.index < pools_[ref.dealer].size());
       DealerStats& s = stats[ref.dealer];
       ++s.refs;
       s.lo = std::min(s.lo, ref.index);
@@ -712,7 +728,7 @@ void BivariateEngine::committed_shares_into(std::span<const LinComb> values,
     for (const auto& [ref, coeff] : values[vi].terms()) {
       const Fld share =
           table[ref.dealer].empty()
-              ? pools_[ref.dealer].eval_one(ref.index, alpha)
+              ? pools_[ref.dealer].eval_at(ref.index, alpha)
               : table[ref.dealer][ref.index - stats[ref.dealer].lo];
       acc += coeff * share;
     }
@@ -724,7 +740,7 @@ Fld BivariateEngine::committed_value(const LinComb& v) const {
   Fld acc = v.constant_term();
   for (const auto& [ref, coeff] : v.terms()) {
     GFOR14_EXPECTS(ref.dealer < net_.n());
-    GFOR14_EXPECTS(ref.index < pools_[ref.dealer].count());
+    GFOR14_EXPECTS(ref.index < pools_[ref.dealer].size());
     // The committed secret is g(0) — the x^0 pool plane, no Horner needed.
     acc += coeff * pools_[ref.dealer].plane(0)[ref.index];
   }

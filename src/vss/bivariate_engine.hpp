@@ -51,7 +51,6 @@
 #include <span>
 #include <vector>
 
-#include "math/bivariate.hpp"
 #include "math/poly.hpp"
 #include "vss/soa.hpp"
 #include "vss/vss.hpp"
@@ -155,10 +154,11 @@ class BivariateEngine final : public VssScheme {
 
   std::vector<bool> qualified_;
   /// Committed share polynomials g(y) = F(0, y) per dealer, one pool column
-  /// per sharing index, stored coefficient-major (vss/soa.hpp): party i's
-  /// committed share is the column evaluated at alpha_i; the committed
-  /// secret is the x^0 plane. Columns stay zero once disqualified.
-  std::vector<SharePool> pools_;
+  /// per sharing index, stored coefficient-major (vss/soa.hpp) and grown by
+  /// every share_all: party i's committed share is the column evaluated at
+  /// alpha_i; the committed secret is the x^0 plane. Columns stay zero once
+  /// disqualified.
+  std::vector<SliceBlock> pools_;
 };
 
 }  // namespace gfor14::vss

@@ -208,58 +208,97 @@ TEST(SoaContainers, SliceBlockMatchesPolyEvalAndWireRoundTrip) {
     for (std::size_t i = 0; i < part.size(); ++i)
       EXPECT_EQ(part[i], polys[5 + i].eval(x)) << "i=" << i;
   }
-  // k-major wire layout round-trips bit-for-bit.
-  std::vector<Fld> wire(m * coeffs);
-  block.store_kmajor(std::span<Fld>(wire));
+  // k-major wire layout round-trips bit-for-bit: coefficient rows appended
+  // as wire elements load back into the same planes; append_eval writes
+  // exactly what eval_range computes.
+  std::vector<Fld> rows;
+  for (std::size_t c = 0; c < coeffs; ++c)
+    rows.insert(rows.end(), block.plane(c).begin(), block.plane(c).end());
+  std::vector<Fld> wire = {Fld::one()};  // appends after existing content
+  vss::append_kmajor(std::span<const Fld>(rows), m, wire);
+  ASSERT_EQ(wire.size(), 1 + m * coeffs);
+  for (std::size_t k = 0; k < m; ++k)
+    for (std::size_t c = 0; c < coeffs; ++c)
+      EXPECT_EQ(wire[1 + k * coeffs + c], block.plane(c)[k]);
   vss::SliceBlock back;
-  back.assign(m, coeffs);
-  back.load_kmajor(std::span<const Fld>(wire));
+  back.load_kmajor(std::span<const Fld>(wire).subspan(1), coeffs);
+  ASSERT_EQ(back.size(), m);
+  ASSERT_EQ(back.coeffs_per_poly(), coeffs);
   for (std::size_t c = 0; c < coeffs; ++c) {
     const auto a = block.plane(c);
     const auto b = back.plane(c);
     EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
   }
+  const Fld x = Fld::random(rng);
+  std::vector<Fld> ranged(m - 12), appended = {Fld::one()};
+  block.eval_range(x, 5, std::span<Fld>(ranged));
+  block.append_eval(x, 5, m - 12, appended);
+  ASSERT_EQ(appended.size(), 1 + ranged.size());
+  EXPECT_TRUE(std::equal(ranged.begin(), ranged.end(), appended.begin() + 1));
 }
 
-TEST(SoaContainers, BivariateBatchSlicesMatchScalarSlices) {
-  Rng rng(241);
-  const std::size_t deg = 2, m = 11;
-  std::vector<SymmetricBivariate> polys;
-  for (std::size_t k = 0; k < m; ++k)
-    polys.push_back(
-        SymmetricBivariate::random_with_secret(rng, deg, Fld::random(rng)));
-  vss::BivariateBatch batch;
-  batch.build(std::span<const SymmetricBivariate>(polys), deg);
-  vss::SliceBlock block;
-  for (std::size_t party = 0; party < 5; ++party) {
-    const Fld y0 = eval_point<64>(party);
-    batch.slices_at(y0, block);
-    for (std::size_t k = 0; k < m; ++k) {
-      const Poly expect = polys[k].slice(y0);
-      const auto& ec = expect.coeffs();
-      for (std::size_t c = 0; c <= deg; ++c)
-        EXPECT_EQ(block.plane(c)[k], c < ec.size() ? ec[c] : Fld::zero())
-            << "party=" << party << " k=" << k << " c=" << c;
+TEST(SoaContainers, DealerPlanesMatchSymmetricBivariateOracle) {
+  // Across block boundaries: the planes hold exactly the polynomials that
+  // successive SymmetricBivariate::random_with_secret calls on the same
+  // stream draw, and slices / point values read from them agree bit-for-bit.
+  const std::size_t b = vss::kDealBlock;
+  for (const std::size_t deg : {1u, 2u, 5u})
+    for (const std::size_t m : {std::size_t{1}, b - 1, b + 1, 3 * b + 7}) {
+      Rng draw(600 + deg), oracle_rng(600 + deg), secrets_rng(9);
+      const auto secrets = random_vec<Fld>(secrets_rng, m);
+      vss::DealerPlanes planes;
+      planes.deal(draw, deg, std::span<const Fld>(secrets));
+      ASSERT_EQ(planes.size(), m);
+      std::vector<SymmetricBivariate> oracle;
+      for (std::size_t k = 0; k < m; ++k)
+        oracle.push_back(SymmetricBivariate::random_with_secret(
+            oracle_rng, deg, secrets[k]));
+      EXPECT_EQ(draw.next_u64(), oracle_rng.next_u64()) << "draw count";
+      const Fld y0 = eval_point<64>(3), x0 = eval_point<64>(1);
+      // An interior block range (odd base) and the full batch.
+      for (const auto& [lo, len] : {std::pair{std::size_t{0}, m},
+                                   std::pair{m / 3, m - m / 3}}) {
+        std::vector<Fld> rows((deg + 1) * len);
+        planes.slice_rows(y0, lo, len, std::span<Fld>(rows));
+        for (std::size_t i = 0; i < len; ++i) {
+          const Poly slice = oracle[lo + i].slice(y0);
+          const auto& ec = slice.coeffs();
+          for (std::size_t c = 0; c <= deg; ++c)
+            ASSERT_EQ(rows[c * len + i], c < ec.size() ? ec[c] : Fld::zero())
+                << "deg=" << deg << " m=" << m << " k=" << lo + i;
+        }
+      }
+      for (std::size_t k = 0; k < m; k += 17)
+        ASSERT_EQ(planes.eval(k, x0, y0), oracle[k].eval(x0, y0)) << k;
     }
-  }
 }
 
-TEST(SoaContainers, SharePoolEvalRangeMatchesEvalOne) {
+TEST(SoaContainers, SliceBlockAppendZeroGrowsAPool) {
+  // A dealer's share pool grows by zero columns per sharing phase; earlier
+  // columns survive and ranges past the first block evaluate like eval_at.
   Rng rng(251);
-  vss::SharePool pool;
-  pool.configure(3);
+  vss::SliceBlock pool;
+  pool.assign(0, 3);
   EXPECT_EQ(pool.append_zero(8), 0u);
+  std::vector<Poly> polys;
+  for (std::size_t k = 0; k < 8; ++k) {
+    polys.push_back(Poly::random(rng, 2));
+    pool.set_poly(k, polys.back());
+  }
   EXPECT_EQ(pool.append_zero(5), 8u);
-  ASSERT_EQ(pool.count(), 13u);
-  for (std::size_t k = 0; k < pool.count(); ++k) {
-    const auto coeffs = random_vec<Fld>(rng, 3);
-    pool.set_column(k, std::span<const Fld>(coeffs));
+  ASSERT_EQ(pool.size(), 13u);
+  for (std::size_t k = 8; k < 13; ++k) {
+    EXPECT_EQ(pool.eval_at(k, Fld::one()), Fld::zero());
+    polys.push_back(Poly::random(rng, 2));
+    pool.set_poly(k, polys.back());
   }
   const Fld alpha = eval_point<64>(2);
   std::vector<Fld> ranged(5);
   pool.eval_range(alpha, 8, std::span<Fld>(ranged));
   for (std::size_t i = 0; i < ranged.size(); ++i)
-    EXPECT_EQ(ranged[i], pool.eval_one(8 + i, alpha)) << "i=" << i;
+    EXPECT_EQ(ranged[i], pool.eval_at(8 + i, alpha)) << "i=" << i;
+  for (std::size_t k = 0; k < pool.size(); ++k)
+    EXPECT_EQ(pool.eval_at(k, alpha), polys[k].eval(alpha)) << "k=" << k;
 }
 
 // --- end-to-end byte identity ----------------------------------------------

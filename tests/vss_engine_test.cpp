@@ -4,8 +4,13 @@
 // paper's comparison (E1/E2) consumes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
+#include "math/bivariate.hpp"
 #include "net/adversary.hpp"
 #include "vss/schemes.hpp"
+#include "vss/soa.hpp"
 
 namespace gfor14::vss {
 namespace {
@@ -405,6 +410,145 @@ TEST(VssChunkedDecode, PrivateMultiReconstructionMatchesCommitmentAtAnyLaneCount
   }
   EXPECT_EQ(per_lanes[0], per_lanes[1]);
   EXPECT_EQ(per_lanes[0], per_lanes[2]);
+}
+
+// --- Plane-native dealing against the SymmetricBivariate oracle ----------
+//
+// Dealers draw their polynomials straight into coefficient planes and build
+// slice payloads block by block (kDealBlock indices at a time). The oracle
+// replays the same per-dealer RNG stream through
+// SymmetricBivariate::random_with_secret and checks, on the recorded RB
+// traffic: every R1 slice payload of an honest (dealer, receiver) pair, each
+// dealer's own slice through its R2 claims, every R4 resolution value and
+// every opened slice. Dealer 0 is corrupt and kInconsistentThenResolve (so
+// complaints, resolutions and openings happen); dealer n - 1 is honest.
+
+/// Keeps a copy of every round's delivered traffic.
+class TrafficLog final : public net::RoundObserver {
+ public:
+  void on_round_end(const net::Network& net, const net::CostReport&) override {
+    rounds.push_back(net.delivered());
+  }
+  std::vector<net::RoundTraffic> rounds;
+};
+
+/// k-major slices F_k(x, y0) of the oracle polynomials, as the wire holds them.
+std::vector<Fld> oracle_slices(const std::vector<SymmetricBivariate>& polys,
+                               Fld y0, std::size_t t) {
+  std::vector<Fld> out;
+  for (const auto& f : polys) {
+    const Poly slice = f.slice(y0);
+    const auto& ec = slice.coeffs();
+    for (std::size_t c = 0; c <= t; ++c)
+      out.push_back(c < ec.size() ? ec[c] : Fld::zero());
+  }
+  return out;
+}
+
+TEST(VssPlaneDealing, SlicesResolutionsAndOpeningsMatchBivariateOracle) {
+  const std::size_t b = kDealBlock;
+  for (const std::size_t t : {1u, 2u, 5u}) {
+    const std::size_t n = 2 * t + 1;
+    const net::PartyId bad = 0, good = n - 1;
+    for (const std::size_t m : {std::size_t{1}, b - 1, b + 1, 3 * b + 7}) {
+      const std::uint64_t seed = 100 * t + m;
+      std::vector<std::vector<Fld>> batches(n);
+      for (std::size_t k = 0; k < m; ++k) {
+        batches[bad].push_back(fe(5000 + k));
+        batches[good].push_back(fe(9000 + k));
+      }
+      // The oracle: the dealers' forked streams on an identically seeded
+      // network, drawn exactly as the per-secret engine drew them.
+      net::Network oracle_net(n, seed);
+      std::vector<std::vector<SymmetricBivariate>> oracle(n);
+      for (const net::PartyId d : {bad, good})
+        for (const Fld s : batches[d])
+          oracle[d].push_back(SymmetricBivariate::random_with_secret(
+              oracle_net.rng_of(d), t, s));
+      std::vector<std::vector<net::RoundTraffic>> per_lanes;
+      for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "t=" << t << " m=" << m
+                                          << " threads=" << threads);
+        net::Network net(n, seed);
+        net.set_threads(threads);
+        net.set_corrupt(bad, true);
+        auto log = std::make_shared<TrafficLog>();
+        net.attach_observer(log);
+        auto vss = make_vss(SchemeKind::kRB, net, t);
+        vss->set_dealer_behaviour(bad, DealerBehaviour::kInconsistentThenResolve);
+        const auto result = vss->share_all(batches);
+        EXPECT_TRUE(result.qualified[bad]);
+        EXPECT_TRUE(result.qualified[good]);
+        // RB rounds: 0 slices, 1 cross-evaluations, 2 complaints,
+        // 3 resolutions, 4/6 accusations, 5/7 slice openings, 8 votes.
+        const auto& rounds = log->rounds;
+        ASSERT_EQ(rounds.size(), 9u);
+        // R1: honest slices on the wire (the bad dealer garbles odd parties).
+        for (const net::PartyId d : {bad, good})
+          for (net::PartyId i = 0; i < n; ++i) {
+            if (i == d || (d == bad && i % 2 == 1)) continue;
+            const auto& q = rounds[0].p2p[i][d];
+            ASSERT_EQ(q.size(), 1u);
+            ASSERT_EQ(q.front(), oracle_slices(oracle[d], eval_point<64>(i), t))
+                << "d=" << d << " i=" << i;
+          }
+        // R2: dealer d's claim to j over its own batch is its own slice at
+        // alpha_j, i.e. F(alpha_j, alpha_d); batches sit in dealer order.
+        for (const net::PartyId d : {bad, good}) {
+          const std::size_t pos = d == bad ? 0 : m;
+          for (net::PartyId j = 0; j < n; ++j) {
+            if (j == d) continue;
+            const auto& q = rounds[1].p2p[j][d];
+            ASSERT_EQ(q.size(), 1u);
+            ASSERT_EQ(q.front().size(), 2 * m);
+            for (std::size_t k = 0; k < m; ++k)
+              ASSERT_EQ(q.front()[pos + k],
+                        oracle[d][k].eval(eval_point<64>(j), eval_point<64>(d)))
+                  << "d=" << d << " j=" << j << " k=" << k;
+          }
+        }
+        // R4: every resolution (k, lo, hi, value) is F_k(alpha_lo, alpha_hi).
+        const auto& res = rounds[3].bcast[bad];
+        ASSERT_EQ(res.size(), 1u);
+        ASSERT_FALSE(res.front().empty());
+        ASSERT_EQ(res.front().size() % 4, 0u);
+        for (std::size_t pos = 0; pos < res.front().size(); pos += 4) {
+          const auto& r = res.front();
+          const std::size_t k = r[pos].to_u64(), lo = r[pos + 1].to_u64(),
+                            hi = r[pos + 2].to_u64();
+          ASSERT_LT(k, m);
+          ASSERT_EQ(r[pos + 3],
+                    oracle[bad][k].eval(eval_point<64>(lo), eval_point<64>(hi)))
+              << "k=" << k << " lo=" << lo << " hi=" << hi;
+        }
+        // R6: each opened slice (a, m * (t + 1) coefficients) is F(x, alpha_a).
+        std::size_t opened = 0;
+        for (const std::size_t r : {5u, 7u}) {
+          for (const auto& payload : rounds[r].bcast[bad]) {
+            const std::size_t stride = 1 + m * (t + 1);
+            ASSERT_EQ(payload.size() % stride, 0u);
+            for (std::size_t pos = 0; pos < payload.size(); pos += stride) {
+              const std::size_t a = payload[pos].to_u64();
+              ASSERT_LT(a, n);
+              const auto expect = oracle_slices(oracle[bad], eval_point<64>(a), t);
+              ASSERT_TRUE(std::equal(expect.begin(), expect.end(),
+                                     payload.begin() + pos + 1))
+                  << "a=" << a;
+              ++opened;
+            }
+          }
+        }
+        EXPECT_GT(opened, 0u);
+        per_lanes.push_back(log->rounds);
+      }
+      // The whole sharing transcript is lane-count independent.
+      ASSERT_EQ(per_lanes.size(), 2u);
+      for (std::size_t r = 0; r < per_lanes[0].size(); ++r) {
+        EXPECT_EQ(per_lanes[0][r].p2p, per_lanes[1][r].p2p) << "round " << r;
+        EXPECT_EQ(per_lanes[0][r].bcast, per_lanes[1][r].bcast) << "round " << r;
+      }
+    }
+  }
 }
 
 TEST(VssThreshold, MaxThresholdRespectedPerScheme) {
