@@ -5,7 +5,10 @@
 // and fault seed), so their digests equal the `final digest` the CLI prints
 // under --record. The two VSS-level cases drive `share_all` with a dealer
 // that hands out inconsistent slices, covering the garbage-slice,
-// complaint, resolution and slice-opening paths of the sharing phase.
+// complaint, resolution and slice-opening paths of the sharing phase; the
+// two mirror-claims cases add a rushing adversary that rewrites the corrupt
+// parties' R2 cross-evaluation claims, so the consistency check has to
+// tell a tampered sent claim from the value the party actually holds.
 //
 // The digests are lane-count and kernel independent (DESIGN §8), so every
 // case runs at 1 and 4 lanes. A changed constant is a transcript change:
@@ -18,6 +21,7 @@
 
 #include "anonchan/anonchan.hpp"
 #include "anonchan/attacks.hpp"
+#include "net/adversary.hpp"
 #include "net/faultplan.hpp"
 #include "net/recorder.hpp"
 #include "vss/schemes.hpp"
@@ -61,15 +65,38 @@ std::string channel_digest(const ChannelCase& c, std::size_t threads) {
   return net::hex_u64(recorder->recording().final_digest);
 }
 
+/// Rushing adversary on the sharing phase's R2 (round index 1): every
+/// corrupt party c, in ascending order, sends each peer j as its claim
+/// f_c(alpha_j) the claim pending from j to c at that moment. A later
+/// corrupt party therefore mirrors an earlier one's already-mirrored claim.
+std::shared_ptr<net::Adversary> mirror_claims() {
+  return std::make_shared<net::CallbackAdversary>([](net::Network& net) {
+    if (net.costs().rounds != 1) return;
+    for (net::PartyId c = 0; c < net.n(); ++c) {
+      if (!net.is_corrupt(c)) continue;
+      std::vector<std::pair<net::PartyId, net::Payload>> mirror;
+      for (const auto& view : net.pending_to_corrupt(c))
+        mirror.emplace_back(view.peer, view.payload());
+      for (auto& [j, payload] : mirror)
+        net.replace_pending(c, j, {std::move(payload)});
+    }
+  });
+}
+
 /// RB sharing at n = 7 with dealer 0 corrupt and misbehaving: it holds a
 /// batch spanning several slice blocks, next to two honest dealers; the
 /// committed values are then opened publicly so they enter the digest.
+/// With `mirror`, party 1 is corrupt too and both run mirror_claims().
 std::string vss_digest(vss::DealerBehaviour behaviour, std::uint64_t seed,
-                       std::size_t threads) {
+                       std::size_t threads, bool mirror = false) {
   constexpr std::size_t n = 7;
   net::Network net(n, seed);
   net.set_threads(threads);
   net.set_corrupt(0, true);
+  if (mirror) {
+    net.set_corrupt(1, true);
+    net.attach_adversary(mirror_claims());
+  }
   auto recorder =
       std::make_shared<net::Recorder>(net::Recorder::Options{false});
   net.attach_observer(recorder);
@@ -143,6 +170,22 @@ TEST(TranscriptPin, ShareAllInconsistentDealerRefuses) {
     EXPECT_EQ(
         vss_digest(vss::DealerBehaviour::kInconsistentRefuse, 23, threads),
         "ebdf65de27cbbafc")
+        << threads;
+}
+
+TEST(TranscriptPin, ShareAllMirrorClaimsInconsistentDealerResolves) {
+  for (std::size_t threads : {1, 4})
+    EXPECT_EQ(vss_digest(vss::DealerBehaviour::kInconsistentThenResolve, 21,
+                         threads, true),
+              "344658b2c1d9ab96")
+        << threads;
+}
+
+TEST(TranscriptPin, ShareAllMirrorClaimsInconsistentDealerRefuses) {
+  for (std::size_t threads : {1, 4})
+    EXPECT_EQ(vss_digest(vss::DealerBehaviour::kInconsistentRefuse, 21,
+                         threads, true),
+              "4690cd781093467e")
         << threads;
 }
 
