@@ -166,7 +166,8 @@ void Network::begin_round() {
   round_start_costs_ = costs_;
   pending_.reset(n_);
   // Fresh validity stamp for every channel: views from earlier rounds die.
-  std::fill(channel_stamp_.begin(), channel_stamp_.end(), ++stamp_counter_);
+  round_stamp_ = ++stamp_counter_;
+  std::fill(channel_stamp_.begin(), channel_stamp_.end(), round_stamp_);
 }
 
 void Network::send(PartyId from, PartyId to, Payload payload) {
@@ -242,6 +243,18 @@ void Network::end_round() {
   // Observers last: they see the fully settled round (delivered traffic,
   // costs, metrics, blame/tamper/fault logs) on the orchestrating thread.
   for (const auto& obs : observers_) obs->on_round_end(*this, round_delta);
+}
+
+bool Network::delivered_as_sent(PartyId from, PartyId to) const {
+  GFOR14_EXPECTS(!in_round_);
+  GFOR14_EXPECTS(from < n_ && to < n_);
+  return channel_stamp(from, to) == round_stamp_;
+}
+
+void Network::release_inbox(PartyId to) {
+  GFOR14_EXPECTS(!in_round_);
+  GFOR14_EXPECTS(to < n_);
+  for (auto& queue : delivered_.p2p[to]) PayloadQueue().swap(queue);
 }
 
 const PartyCosts& Network::party_costs(PartyId p) const {

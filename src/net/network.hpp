@@ -306,6 +306,15 @@ class Network {
 
   /// Traffic delivered by the most recent end_round().
   const RoundTraffic& delivered() const { return delivered_; }
+  /// True when the p2p traffic the last end_round() delivered on from -> to
+  /// is exactly what `from` submitted: neither replace_pending nor a wire
+  /// fault rewrote the channel (a rewrite counts even when its content is
+  /// unchanged). Callable between rounds only.
+  bool delivered_as_sent(PartyId from, PartyId to) const;
+  /// Frees the p2p payloads the last round delivered to `to`. Only party
+  /// `to`'s own handler may call it, after the observers have run, and not
+  /// in a pass where another party reads that inbox (DESIGN.md §8).
+  void release_inbox(PartyId to);
 
   // --- Rushing-adversary visibility (valid between begin/end round) -------
   /// Pending payloads addressed to a corrupt party this round. Views, not
@@ -402,9 +411,11 @@ class Network {
 
   /// Per-channel validity stamps for PendingView poisoning: every channel
   /// gets a fresh stamp each begin_round(), and substitute_p2p bumps the
-  /// rewritten channel's stamp, invalidating views of that queue only.
+  /// rewritten channel's stamp, invalidating views of that queue only. A
+  /// channel still holding round_stamp_ was delivered as sent.
   std::vector<std::uint64_t> channel_stamp_;
   std::uint64_t stamp_counter_ = 0;
+  std::uint64_t round_stamp_ = 0;
 
   /// Blame records bucketed per accuser (index n_ holds kPublicBlame).
   std::vector<std::vector<BlameRecord>> blame_;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <map>
 #include <set>
+#include <type_traits>
 
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
@@ -209,6 +211,9 @@ void BivariateEngine::round_distribute_slices(ShareCtx& ctx) {
       }
       ctx.recv[i][d].load_kmajor(msgs.front(), t + 1);
     }
+    // The slice blocks now own every R1 value; the inbox is dead weight
+    // through R2.
+    net_.release_inbox(i);
   });
 }
 
@@ -245,32 +250,58 @@ void BivariateEngine::round_cross_evaluations(ShareCtx& ctx) {
     for (net::PartyId j = 0; j < n; ++j)
       if (i != j) lane.send(j, std::move(out[j]));
   });
-  // Compare: j's claimed f_j(alpha_i) against my f_i(alpha_j), recomputed
-  // block by block into a stack buffer and checked right away (a missing
-  // or malformed claim reads as zeros). Each party buffers its own
-  // complaints; the merge into the (deduplicating, ordered) set is
-  // order-insensitive, so neither the block order nor the parallel
-  // schedule can show through.
+  // Compare: j's claimed f_j(alpha_i) against my f_i(alpha_j) (a missing
+  // or malformed claim reads as zeros). If channel i -> j delivered my one
+  // claim payload as sent, that payload is my f_i(alpha_j): one range
+  // compare settles the pair, and only a mismatch is walked to name the
+  // (d, k). For a rewritten channel my values are recomputed block by
+  // block. Party i reads j's inbox here, read-only (DESIGN §8). Each party
+  // buffers its own complaints; the merge into the (deduplicating,
+  // ordered) set is order-insensitive, so neither the block order nor the
+  // parallel schedule can show through.
+  static_assert(std::has_unique_object_representations_v<Fld>);
+  if (ctx.total_m == 0) return;  // no values (and memcmp wants non-null)
   std::vector<std::vector<ShareCtx::Complaint>> found(n);
   net_.for_each_party([&](net::PartyId i) {
+    const auto& inbox = net_.delivered().p2p;
+    const auto complain = [&](net::PartyId j, net::PartyId d, std::size_t k) {
+      found[i].push_back(
+          {d, k, std::min<std::size_t>(i, j), std::max<std::size_t>(i, j)});
+    };
     std::vector<const Fld*> claims(n, nullptr);
+    const auto claim_at = [&](net::PartyId j, std::size_t pos) {
+      return claims[j] ? claims[j][pos] : Fld::zero();
+    };
+    std::vector<net::PartyId> recompute;
     for (net::PartyId j = 0; j < n; ++j) {
-      const auto& msgs = net_.delivered().p2p[i][j];
-      if (i != j && !msgs.empty() && msgs.front().size() == ctx.total_m)
+      if (i == j) continue;
+      const auto& msgs = inbox[i][j];
+      if (!msgs.empty() && msgs.front().size() == ctx.total_m)
         claims[j] = msgs.front().data();
+      const auto& sent = inbox[j][i];
+      if (!net_.delivered_as_sent(i, j) || sent.size() != 1 ||
+          sent.front().size() != ctx.total_m) {
+        recompute.push_back(j);
+        continue;
+      }
+      const Fld* mine = sent.front().data();
+      if (claims[j] && std::memcmp(mine, claims[j],
+                                   ctx.total_m * sizeof(Fld)) == 0)
+        continue;
+      for_each_block(i, [&](net::PartyId d, const SliceBlock&, std::size_t lo,
+                            std::size_t len, std::size_t pos) {
+        for (std::size_t k = 0; k < len; ++k)
+          if (claim_at(j, pos + k) != mine[pos + k]) complain(j, d, lo + k);
+      });
     }
+    if (recompute.empty()) return;
     std::array<Fld, kEvalBlock> mine;
     for_each_block(i, [&](net::PartyId d, const SliceBlock& block,
                           std::size_t lo, std::size_t len, std::size_t pos) {
-      for (net::PartyId j = 0; j < n; ++j) {
-        if (i == j) continue;
+      for (net::PartyId j : recompute) {
         block.eval_range(ctx.alpha[j], lo, std::span<Fld>(mine.data(), len));
-        for (std::size_t k = 0; k < len; ++k) {
-          const Fld claimed = claims[j] ? claims[j][pos + k] : Fld::zero();
-          if (claimed != mine[k])
-            found[i].push_back({d, lo + k, std::min<std::size_t>(i, j),
-                                std::max<std::size_t>(i, j)});
-        }
+        for (std::size_t k = 0; k < len; ++k)
+          if (claim_at(j, pos + k) != mine[k]) complain(j, d, lo + k);
       }
     });
   });

@@ -86,8 +86,9 @@ void field_products_match_across_kernels() {
     for (ff::Kernel k : kernels) {
       ASSERT_TRUE(ff::set_kernel(k));
       EXPECT_EQ(a * b, expect) << ff::kernel_name(k);
-      if (!expect.is_zero())
+      if (!expect.is_zero()) {
         EXPECT_EQ(expect.inverse(), expect_inv) << ff::kernel_name(k);
+      }
     }
   }
   ff::reset_kernel();
@@ -106,10 +107,14 @@ TEST(FfKernel, SetKernelRejectsUnavailableHardware) {
   // other must be rejected without changing the active kernel.
   ASSERT_TRUE(ff::set_kernel(ff::Kernel::kTable));
   const bool pclmul_ok = ff::set_kernel(ff::Kernel::kPclmul);
-  if (!pclmul_ok) EXPECT_EQ(ff::active_kernel(), ff::Kernel::kTable);
+  if (!pclmul_ok) {
+    EXPECT_EQ(ff::active_kernel(), ff::Kernel::kTable);
+  }
   ASSERT_TRUE(ff::set_kernel(ff::Kernel::kTable));
   const bool pmull_ok = ff::set_kernel(ff::Kernel::kPmull);
-  if (!pmull_ok) EXPECT_EQ(ff::active_kernel(), ff::Kernel::kTable);
+  if (!pmull_ok) {
+    EXPECT_EQ(ff::active_kernel(), ff::Kernel::kTable);
+  }
   EXPECT_FALSE(pclmul_ok && pmull_ok);  // mutually exclusive ISAs
   EXPECT_EQ(pclmul_ok || pmull_ok, ff::hardware_available());
   ff::reset_kernel();

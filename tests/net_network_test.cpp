@@ -4,7 +4,9 @@
 
 #include "anonchan/anonchan.hpp"
 #include "net/adversary.hpp"
+#include "net/faultplan.hpp"
 #include "net/network.hpp"
+#include "net/recorder.hpp"
 #include "vss/schemes.hpp"
 
 namespace gfor14::net {
@@ -448,6 +450,134 @@ TEST(Network, BlameRecordsBucketedAndOrdered) {
   EXPECT_EQ(records[1].accused, 2u);
   EXPECT_EQ(records[2].accuser, 2u);
   EXPECT_EQ(records[3].accuser, kPublicBlame);
+}
+
+/// Runs one round in which every party sends every other party a payload
+/// tagged with (round, from, to) and party 0 broadcasts.
+void all_pairs_round(Network& net, std::uint64_t round) {
+  net.begin_round();
+  for (PartyId from = 0; from < net.n(); ++from)
+    for (PartyId to = 0; to < net.n(); ++to)
+      if (from != to) net.send(from, to, pay({round, from, to}));
+  net.broadcast(0, pay({round, 99}));
+  net.end_round();
+}
+
+using Channels = std::vector<std::pair<PartyId, PartyId>>;
+
+/// The (from, to) channels whose last delivery was not as sent.
+Channels rewritten(const Network& net) {
+  Channels out;
+  for (PartyId from = 0; from < net.n(); ++from)
+    for (PartyId to = 0; to < net.n(); ++to)
+      if (!net.delivered_as_sent(from, to)) out.emplace_back(from, to);
+  return out;
+}
+
+TEST(Network, DeliveredAsSentOnUntouchedChannels) {
+  Network net(3, 1);
+  EXPECT_TRUE(rewritten(net).empty());  // nothing delivered yet
+  all_pairs_round(net, 0);
+  EXPECT_TRUE(rewritten(net).empty());
+  net.begin_round();
+  EXPECT_THROW(net.delivered_as_sent(0, 1), ContractViolation);  // mid-round
+  net.end_round();
+  EXPECT_TRUE(rewritten(net).empty());  // channels without traffic too
+}
+
+TEST(Network, DeliveredAsSentFalseAfterReplacePending) {
+  Network net(3, 1);
+  net.corrupt_first(1);
+  bool tamper = true;
+  // Re-queues party 0's own message to 1: same content, still a rewrite.
+  net.attach_adversary(std::make_shared<CallbackAdversary>([&](Network& n) {
+    if (!tamper) return;
+    auto out = n.pending_from_corrupt(0);
+    ASSERT_FALSE(out.empty());
+    Payload same = out[0].payload();
+    n.replace_pending(0, out[0].peer, {std::move(same)});
+  }));
+  all_pairs_round(net, 0);
+  EXPECT_EQ(net.delivered().p2p[1][0][0], pay({0, 0, 1}));
+  EXPECT_EQ(rewritten(net), (Channels{{0, 1}}));
+  tamper = false;
+  all_pairs_round(net, 1);
+  EXPECT_TRUE(rewritten(net).empty());
+}
+
+TEST(Network, DeliveredAsSentFalseOnEveryFaultKind) {
+  struct Case {
+    const char* spec;
+    Channels hit;  // in the fault round
+    bool standing;
+  };
+  const Case cases[] = {
+      {"drop@1:0->1", {{0, 1}}, false},
+      {"trunc@1:0->1:1", {{0, 1}}, false},
+      {"ext@1:0->1:1", {{0, 1}}, false},
+      {"corrupt@1:0->1:1", {{0, 1}}, false},
+      {"bitflip@1:0->1:1", {{0, 1}}, false},
+      // Round 1 replays round 0's traffic: new content, but a rewrite.
+      {"replay@1:0->1", {{0, 1}}, false},
+      {"crash@1:0", {{0, 1}, {0, 2}}, true},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.spec);
+    const auto plan = FaultPlan::parse(c.spec);
+    ASSERT_TRUE(plan.has_value());
+    Network net(3, 1);
+    net.attach_faults(std::make_shared<FaultEngine>(*plan, 5));
+    all_pairs_round(net, 0);
+    EXPECT_TRUE(rewritten(net).empty());
+    all_pairs_round(net, 1);
+    EXPECT_EQ(rewritten(net), c.hit);
+    all_pairs_round(net, 2);
+    EXPECT_EQ(rewritten(net), c.standing ? c.hit : Channels{});
+  }
+}
+
+TEST(Network, DeliveredAsSentFalseOnIdenticalReplay) {
+  // The replayed stale payload equals what party 0 sent this round.
+  Network net(3, 1);
+  net.attach_faults(std::make_shared<FaultEngine>(
+      FaultPlan{}.replay_stale(1, 0, 1), 5));
+  for (int r = 0; r < 2; ++r) {
+    net.begin_round();
+    net.send(0, 1, pay({7}));
+    net.end_round();
+  }
+  EXPECT_EQ(net.delivered().p2p[1][0][0], pay({7}));
+  EXPECT_EQ(rewritten(net), (Channels{{0, 1}}));
+}
+
+TEST(Network, ReleaseInboxFreesOnlyThatRow) {
+  Network net(3, 1);
+  auto recorder = std::make_shared<Recorder>(Recorder::Options{false});
+  net.attach_observer(recorder);
+  all_pairs_round(net, 0);
+  net.blame(1, 0, "late");
+  const RoundTraffic before = net.delivered();
+  const CostReport costs = net.costs();
+  const auto party_costs = net.all_party_costs();
+  const std::uint64_t digest = recorder->recording().final_digest;
+
+  net.release_inbox(1);
+  for (PartyId from = 0; from < 3; ++from)
+    EXPECT_TRUE(net.delivered().p2p[1][from].empty()) << from;
+  EXPECT_EQ(net.delivered().p2p[0], before.p2p[0]);
+  EXPECT_EQ(net.delivered().p2p[2], before.p2p[2]);
+  EXPECT_EQ(net.delivered().bcast, before.bcast);
+  EXPECT_EQ(net.costs(), costs);
+  EXPECT_EQ(net.all_party_costs().size(), party_costs.size());
+  EXPECT_EQ(net.party_costs(1).p2p_elements_received,
+            party_costs[1].p2p_elements_received);
+  EXPECT_EQ(net.blame_count(), 1u);
+  EXPECT_EQ(recorder->recording().final_digest, digest);
+  EXPECT_TRUE(rewritten(net).empty());
+
+  net.begin_round();
+  EXPECT_THROW(net.release_inbox(0), ContractViolation);  // mid-round
+  net.end_round();
 }
 
 }  // namespace
